@@ -121,6 +121,27 @@ void StochasticAdversary::step(Time now, const Engine&, AdversaryStep& out) {
   }
 }
 
+Route convoy_route(const Graph& graph, std::int64_t max_len) {
+  Route path;
+  NodeId at = 0;
+  std::vector<bool> seen(graph.node_count(), false);
+  seen[at] = true;
+  while (!graph.out_edges(at).empty() &&
+         path.size() < static_cast<std::size_t>(max_len)) {
+    EdgeId next = kNoEdge;
+    for (EdgeId e : graph.out_edges(at))
+      if (!seen[graph.head(e)]) {
+        next = e;
+        break;
+      }
+    if (next == kNoEdge) break;
+    path.push_back(next);
+    at = graph.head(next);
+    seen[at] = true;
+  }
+  return path;
+}
+
 ConvoyAdversary::ConvoyAdversary(Route path, std::int64_t w, Rat r)
     : path_(std::move(path)), w_(w), burst_(r.floor_mul(w)) {
   AQT_REQUIRE(w_ >= 1, "window must be >= 1");

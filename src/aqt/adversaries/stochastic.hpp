@@ -65,6 +65,12 @@ class StochasticAdversary final : public Adversary {
   std::uint64_t injected_ = 0;
 };
 
+/// The convoy's route: the simple forward path from node 0 that takes the
+/// first out-edge to an unvisited node at every step, capped at `max_len`
+/// edges.  Empty when node 0 has no such edge; callers report that in
+/// their own terms.
+[[nodiscard]] Route convoy_route(const Graph& graph, std::int64_t max_len);
+
 /// Deterministic worst-case (w, r) pattern: at the first floor(w*r) steps of
 /// every aligned window, inject one packet along a fixed path (all packets
 /// share all edges — the maximal legal pile-up on that path).

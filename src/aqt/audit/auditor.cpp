@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "aqt/audit/callgraph.hpp"
@@ -16,6 +18,8 @@
 #include "aqt/audit/symbols.hpp"
 #include "aqt/audit/token_util.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/hash.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::audit {
 namespace {
@@ -849,41 +853,12 @@ class SemanticAuditor {
   std::vector<AuditFinding>* out_ = nullptr;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& rule_pack() { return kRules; }
 
 std::uint64_t line_content_hash(const std::string& line) {
-  const std::string text = trim(line);
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return fnv1a(trim(line));
 }
 
 FileContext classify_path(const std::string& path) {
@@ -1216,22 +1191,10 @@ std::vector<BaselineEntry> parse_baseline(std::istream& is,
                                         << "'");
     e.file = text.substr(tab1 + 1, tab2 - tab1 - 1);
     const std::string hex = trim(text.substr(tab2 + 1));
-    AQT_REQUIRE(!hex.empty() && hex.size() <= 16,
-                "baseline " << name << ":" << lineno << ": bad hash '" << hex
-                            << "'");
-    std::uint64_t h = 0;
-    for (const char c : hex) {
-      int digit = 0;
-      if (c >= '0' && c <= '9')
-        digit = c - '0';
-      else if (c >= 'a' && c <= 'f')
-        digit = c - 'a' + 10;
-      else
-        AQT_REQUIRE(false, "baseline " << name << ":" << lineno
-                                       << ": bad hash '" << hex << "'");
-      h = (h << 4U) | static_cast<std::uint64_t>(digit);
-    }
-    e.line_hash = h;
+    const std::optional<std::uint64_t> h = parse_hash_hex(hex);
+    AQT_REQUIRE(h.has_value(), "baseline " << name << ":" << lineno
+                                           << ": bad hash '" << hex << "'");
+    e.line_hash = *h;
     out.push_back(std::move(e));
   }
   return out;
@@ -1242,15 +1205,6 @@ std::vector<BaselineEntry> load_baseline_file(const std::string& path) {
   AQT_REQUIRE(in.good(), "cannot open baseline file: " << path);
   return parse_baseline(in, path);
 }
-
-namespace {
-std::string hash_hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-}  // namespace
 
 std::string to_baseline(const std::vector<AuditReport>& reports) {
   std::ostringstream os;
@@ -1332,21 +1286,22 @@ std::string to_json(const std::vector<AuditReport>& reports,
   for (std::size_t i = 0; i < stale.size(); ++i) {
     const BaselineEntry& e = stale[i];
     if (i) os << ",";
-    os << "{\"rule\":\"" << json_escape(e.rule) << "\",\"file\":\""
-       << json_escape(e.file) << "\",\"hash\":\"" << hash_hex(e.line_hash)
-       << "\"}";
+    os << "{\"rule\":\"" << json_escape_string(e.rule) << "\",\"file\":\""
+       << json_escape_string(e.file) << "\",\"hash\":\""
+       << hash_hex(e.line_hash) << "\"}";
   }
   os << "],\"reports\":[";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const AuditReport& rep = reports[i];
     if (i) os << ",";
-    os << "{\"file\":\"" << json_escape(rep.file) << "\","
+    os << "{\"file\":\"" << json_escape_string(rep.file) << "\","
        << "\"ok\":" << (rep.ok() ? "true" : "false") << ",\"findings\":[";
     for (std::size_t j = 0; j < rep.findings.size(); ++j) {
       const AuditFinding& f = rep.findings[j];
       if (j) os << ",";
-      os << "{\"rule\":\"" << json_escape(f.rule) << "\",\"line\":" << f.line
-         << ",\"message\":\"" << json_escape(f.message) << "\"}";
+      os << "{\"rule\":\"" << json_escape_string(f.rule)
+         << "\",\"line\":" << f.line << ",\"message\":\""
+         << json_escape_string(f.message) << "\"}";
     }
     os << "]}";
   }
@@ -1356,217 +1311,78 @@ std::string to_json(const std::vector<AuditReport>& reports,
 
 // --- Hardened JSON re-parser ------------------------------------------------
 //
-// Strict recursive-descent over exactly the grammar to_json emits — the
-// same discipline as obs/events.cpp's LineParser: position-attributed
-// PreconditionError on any malformation, never a crash or a hang.
+// parse_json plus a DOM walk that accepts exactly the layout to_json emits:
+// every object carries exactly its keys, in to_json's order.  A value of
+// the wrong type fails in its JsonValue accessor.
 
 namespace {
 
-class JsonParser {
- public:
-  JsonParser(const std::string& text, const std::string& where)
-      : s_(text), where_(where) {}
+void expect_keys(const JsonValue& v,
+                 std::initializer_list<std::string_view> keys,
+                 const std::string& where) {
+  const auto& members = v.members();
+  bool ok = members.size() == keys.size();
+  std::string want;
+  std::size_t i = 0;
+  for (const std::string_view key : keys) {
+    ok = ok && members[i++].first == key;
+    want += (want.empty() ? "" : ",") + std::string(key);
+  }
+  AQT_REQUIRE(ok, "" << where << ": expected an object with keys " << want
+                     << ", in that order");
+}
 
-  void fail(const std::string& what) const {
-    AQT_REQUIRE(false, "" << where_ << ": " << what << " at byte " << pos_);
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  char take() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (take() != c) fail(std::string("expected '") + c + "'");
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] bool at_end() const { return pos_ >= s_.size(); }
-
-  void key(const char* name) {
-    const std::string k = string_value();
-    if (k != name) fail("expected key '" + std::string(name) + "', got '" +
-                        k + "'");
-    expect(':');
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = take();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4U;
-            if (h >= '0' && h <= '9')
-              code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("bad \\u escape");
-          }
-          if (code > 0xff) fail("non-latin \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  std::int64_t int_value() {
-    const bool neg = consume('-');
-    if (peek() < '0' || peek() > '9') fail("expected digit");
-    std::int64_t v = 0;
-    while (!at_end() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      if (v > (INT64_MAX - 9) / 10) fail("integer overflow");
-      v = v * 10 + (take() - '0');
-    }
-    return neg ? -v : v;
-  }
-
-  bool bool_value() {
-    if (consume('t')) {
-      expect('r');
-      expect('u');
-      expect('e');
-      return true;
-    }
-    expect('f');
-    expect('a');
-    expect('l');
-    expect('s');
-    expect('e');
-    return false;
-  }
-
- private:
-  const std::string& s_;
-  const std::string& where_;
-  std::size_t pos_ = 0;
-};
+std::string rule_of(const JsonValue& v, const std::string& where) {
+  const std::string& id = v.find("rule")->as_string();
+  AQT_REQUIRE(known_rule(id), "" << where << ": unknown rule '" << id << "'");
+  return id;
+}
 
 }  // namespace
 
 std::vector<AuditReport> parse_audit_json(
     const std::string& text, const std::string& name,
     std::vector<BaselineEntry>* stale_out) {
-  JsonParser p(text, name);
-  p.expect('{');
-  p.key("tool");
-  const std::string tool = p.string_value();
-  if (tool != "aqt-audit") p.fail("tool is '" + tool + "', not 'aqt-audit'");
-  p.expect(',');
-  p.key("ok");
-  const bool ok = p.bool_value();
-  p.expect(',');
-  p.key("stale");
-  p.expect('[');
+  const JsonValue doc = parse_json(text, name);
+  expect_keys(doc, {"tool", "ok", "stale", "reports"}, name);
+  const std::string& tool = doc.find("tool")->as_string();
+  AQT_REQUIRE(tool == "aqt-audit",
+              "" << name << ": tool is '" << tool << "', not 'aqt-audit'");
+
   std::vector<BaselineEntry> stale;
-  if (!p.consume(']')) {
-    for (;;) {
-      BaselineEntry e;
-      p.expect('{');
-      p.key("rule");
-      e.rule = p.string_value();
-      if (!known_rule(e.rule)) p.fail("unknown rule '" + e.rule + "'");
-      p.expect(',');
-      p.key("file");
-      e.file = p.string_value();
-      p.expect(',');
-      p.key("hash");
-      const std::string hex = p.string_value();
-      if (hex.size() != 16) p.fail("stale hash must be 16 hex digits");
-      std::uint64_t h = 0;
-      for (const char c : hex) {
-        if (c >= '0' && c <= '9')
-          h = (h << 4U) | static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-          h = (h << 4U) | static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-          p.fail("bad stale hash digit");
-      }
-      e.line_hash = h;
-      p.expect('}');
-      stale.push_back(std::move(e));
-      if (p.consume(']')) break;
-      p.expect(',');
-    }
+  for (const JsonValue& item : doc.find("stale")->items()) {
+    expect_keys(item, {"rule", "file", "hash"}, name);
+    const std::string& hex = item.find("hash")->as_string();
+    const std::optional<std::uint64_t> h = parse_hash_hex(hex);
+    AQT_REQUIRE(hex.size() == 16 && h.has_value(),
+                "" << name << ": stale hash must be 16 hex digits, got '"
+                   << hex << "'");
+    stale.push_back(
+        BaselineEntry{rule_of(item, name), item.find("file")->as_string(), *h});
   }
-  if (stale_out != nullptr) *stale_out = std::move(stale);
-  p.expect(',');
-  p.key("reports");
-  p.expect('[');
+
   std::vector<AuditReport> reports;
   bool all_ok = true;
-  if (!p.consume(']')) {
-    for (;;) {
-      AuditReport rep;
-      p.expect('{');
-      p.key("file");
-      rep.file = p.string_value();
-      p.expect(',');
-      p.key("ok");
-      const bool rep_ok = p.bool_value();
-      p.expect(',');
-      p.key("findings");
-      p.expect('[');
-      if (!p.consume(']')) {
-        for (;;) {
-          AuditFinding f;
-          p.expect('{');
-          p.key("rule");
-          f.rule = p.string_value();
-          if (!known_rule(f.rule)) p.fail("unknown rule '" + f.rule + "'");
-          p.expect(',');
-          p.key("line");
-          const std::int64_t line = p.int_value();
-          if (line < 0 || line > INT32_MAX) p.fail("line out of range");
-          f.line = static_cast<int>(line);
-          p.expect(',');
-          p.key("message");
-          f.message = p.string_value();
-          p.expect('}');
-          rep.findings.push_back(std::move(f));
-          if (p.consume(']')) break;
-          p.expect(',');
-        }
-      }
-      p.expect('}');
-      if (rep_ok != rep.ok()) p.fail("report ok flag contradicts findings");
-      all_ok = all_ok && rep.ok();
-      reports.push_back(std::move(rep));
-      if (p.consume(']')) break;
-      p.expect(',');
+  for (const JsonValue& item : doc.find("reports")->items()) {
+    expect_keys(item, {"file", "ok", "findings"}, name);
+    AuditReport rep{item.find("file")->as_string(), {}};
+    for (const JsonValue& f : item.find("findings")->items()) {
+      expect_keys(f, {"rule", "line", "message"}, name);
+      const std::int64_t line = f.find("line")->as_int();
+      AQT_REQUIRE(line >= 0 && line <= INT32_MAX,
+                  "" << name << ": line " << line << " out of range");
+      rep.findings.push_back(AuditFinding{rule_of(f, name),
+                                          static_cast<int>(line),
+                                          f.find("message")->as_string(), 0});
     }
+    AQT_REQUIRE(item.find("ok")->as_bool() == rep.ok(),
+                "" << name << ": report ok flag contradicts findings");
+    all_ok = all_ok && rep.ok();
+    reports.push_back(std::move(rep));
   }
-  p.expect('}');
-  if (!p.at_end()) p.fail("trailing bytes after document");
-  if (ok != all_ok) p.fail("document ok flag contradicts reports");
+  AQT_REQUIRE(doc.find("ok")->as_bool() == all_ok,
+              "" << name << ": document ok flag contradicts reports");
+  if (stale_out != nullptr) *stale_out = std::move(stale);
   return reports;
 }
 

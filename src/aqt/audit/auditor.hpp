@@ -205,9 +205,9 @@ std::string to_human(const std::vector<AuditReport>& reports);
 std::string to_json(const std::vector<AuditReport>& reports,
                     const std::vector<BaselineEntry>& stale = {});
 
-/// Re-parses to_json output with the same hardened-parser discipline as
-/// the event/trace readers: strict grammar, PreconditionError (never a
-/// crash) on any malformation.  Exists so CI pipelines — and the
+/// Re-parses to_json output through the shared JSON reader
+/// (util/json.hpp), accepting exactly to_json's layout: PreconditionError
+/// (never a crash) on any malformation.  Exists so CI pipelines — and the
 /// round-trip meta-test — can consume audit reports without trusting
 /// them.  When `stale_out` is non-null it receives the "stale" field.
 std::vector<AuditReport> parse_audit_json(

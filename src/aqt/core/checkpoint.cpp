@@ -5,27 +5,27 @@
 
 #include "aqt/core/engine.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/hash.hpp"
 
 namespace aqt {
 namespace {
 
 constexpr const char* kMagic = "AQT-CHECKPOINT";
 // Version 2: metrics carry step/occupancy totals and the queue-depth and
-// residence histograms (observability layer).
-constexpr int kVersion = 2;
+// residence histograms (observability layer).  Version 3: the graph
+// checksum is the standard FNV-1a 64 (util/hash.hpp); version 2 seeded it
+// with a mistyped offset basis.
+constexpr int kVersion = 3;
 
-/// FNV-1a over edge names: ties a checkpoint to an identically-built graph.
+/// FNV-1a over edge names, each followed by a 0x1f unit separator: ties a
+/// checkpoint to an identically-built graph.
 std::uint64_t graph_checksum(const Graph& g) {
-  std::uint64_t h = 1469598103934665603ULL;
+  Fnv1a h;
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    for (const char c : g.edge(e).name) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 1099511628211ULL;
-    }
-    h ^= 0x1fULL;
-    h *= 1099511628211ULL;
+    h.update(g.edge(e).name);
+    h.update_byte(0x1f);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace
@@ -73,8 +73,10 @@ void load_checkpoint(Engine& engine, std::istream& is) {
   int version = 0;
   is >> magic >> version;
   AQT_REQUIRE(is && magic == kMagic, "not a checkpoint stream");
-  AQT_REQUIRE(version == kVersion, "unsupported checkpoint version "
-                                       << version);
+  AQT_REQUIRE(version == kVersion,
+              "unsupported checkpoint version "
+                  << version << " (this build reads version " << kVersion
+                  << ")");
 
   std::string word;
   std::size_t edge_count = 0;

@@ -3,18 +3,22 @@
 #include <algorithm>
 #include <cstring>
 
+#include "aqt/util/hash.hpp"
+
 namespace aqt {
 namespace {
 
+/// FNV-1a shaped, but one whole EdgeId per round rather than one byte:
+/// the hash is internal to the table, so speed beats byte compatibility.
 std::uint64_t hash_route(RouteSpan route) {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = kFnv1aOffsetBasis;
   for (const EdgeId e : route) {
     h ^= e;
-    h *= 1099511628211ULL;
+    h *= kFnv1aPrime;
   }
   // Fold in the length so prefixes hash apart even under weak mixing.
   h ^= route.size();
-  h *= 1099511628211ULL;
+  h *= kFnv1aPrime;
   return h;
 }
 

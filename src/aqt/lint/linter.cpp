@@ -9,6 +9,7 @@
 #include "aqt/core/rate_check.hpp"
 #include "aqt/topology/spec.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt {
 namespace {
@@ -41,28 +42,6 @@ std::optional<Route> resolve_route(const Graph& g,
   }
   if (!ok) return std::nullopt;
   return route;
-}
-
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
 }
 
 }  // namespace
@@ -341,18 +320,18 @@ std::string to_json(const std::vector<LintReport>& reports) {
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const LintReport& rep = reports[i];
     if (i) os << ",";
-    os << "{\"file\":\"" << json_escape(rep.file) << "\","
+    os << "{\"file\":\"" << json_escape_string(rep.file) << "\","
        << "\"ok\":" << (rep.ok() ? "true" : "false") << ","
        << "\"injections\":" << rep.injections << ","
        << "\"reroutes\":" << rep.reroutes << ","
-       << "\"certificates\":\"" << json_escape(rep.certificates) << "\","
+       << "\"certificates\":\"" << json_escape_string(rep.certificates) << "\","
        << "\"findings\":[";
     for (std::size_t j = 0; j < rep.findings.size(); ++j) {
       const LintFinding& f = rep.findings[j];
       if (j) os << ",";
-      os << "{\"code\":\"" << json_escape(f.code) << "\","
+      os << "{\"code\":\"" << json_escape_string(f.code) << "\","
          << "\"line\":" << f.line << ","
-         << "\"message\":\"" << json_escape(f.message) << "\"}";
+         << "\"message\":\"" << json_escape_string(f.message) << "\"}";
     }
     os << "]}";
   }

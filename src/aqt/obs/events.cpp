@@ -1,235 +1,72 @@
 #include "aqt/obs/events.hpp"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
 
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::obs {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Strict single-line parser for the event grammar: one flat JSON object
-/// whose values are strings, integers, booleans, or arrays of strings.
-class LineParser {
- public:
-  LineParser(const std::string& line, const std::string& where)
-      : s_(line), where_(where) {}
-
-  void fail(const std::string& what) const {
-    AQT_REQUIRE(false, "" << where_ << ": " << what << " at byte " << pos_);
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of line");
-    return s_[pos_];
-  }
-  char take() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (take() != c) fail(std::string("expected '") + c + "'");
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool at_end() const { return pos_ >= s_.size(); }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = take();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4U;
-            if (h >= '0' && h <= '9')
-              code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("bad \\u escape");
-          }
-          if (code > 0xff) fail("non-latin \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-  }
-
-  std::int64_t int_value() {
-    const bool neg = consume('-');
-    if (peek() < '0' || peek() > '9') fail("expected digit");
-    std::uint64_t v = 0;
-    while (!at_end() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      const auto digit = static_cast<std::uint64_t>(take() - '0');
-      if (v > (UINT64_MAX - digit) / 10) fail("integer overflow");
-      v = v * 10 + digit;
-    }
-    if (neg) {
-      if (v > 9223372036854775808ULL) fail("integer overflow");
-      return -static_cast<std::int64_t>(v);
-    }
-    if (v > INT64_MAX) fail("integer overflow");
-    return static_cast<std::int64_t>(v);
-  }
-
-  bool bool_value() {
-    if (consume('t')) {
-      expect('r');
-      expect('u');
-      expect('e');
-      return true;
-    }
-    expect('f');
-    expect('a');
-    expect('l');
-    expect('s');
-    expect('e');
-    return false;
-  }
-
-  std::vector<std::string> string_array() {
-    expect('[');
-    std::vector<std::string> out;
-    if (consume(']')) return out;
-    for (;;) {
-      out.push_back(string_value());
-      if (consume(']')) return out;
-      expect(',');
-    }
-  }
-
- private:
-  const std::string& s_;
-  const std::string& where_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t as_u64(std::int64_t v, LineParser& p, const char* key) {
-  if (v < 0) p.fail(std::string("negative value for ") + key);
-  return static_cast<std::uint64_t>(v);
-}
-
+/// One event line: a flat JSON object whose values are strings, integers,
+/// booleans, or arrays of strings, with the keys of the event grammar.  A
+/// value of the wrong type fails in its JsonValue accessor.
 ObsEvent parse_line(const std::string& line, const std::string& where) {
-  LineParser p(line, where);
+  const auto fail = [&where](const std::string& what) {
+    AQT_REQUIRE(false, "" << where << ": " << what);
+  };
+  const auto u64 = [&fail](const JsonValue& v, const std::string& key) {
+    if (v.as_int() < 0) fail("negative value for " + key);
+    return static_cast<std::uint64_t>(v.as_int());
+  };
+  const JsonValue doc = parse_json(line, where);
+  if (!doc.is_object()) fail("event line is not a JSON object");
+  const JsonValue* kind = doc.find("ev");
+  AQT_REQUIRE(kind != nullptr, "" << where << ": missing \"ev\" key");
   ObsEvent ev;
-  bool have_ev = false;
-  std::string kind;
-  p.expect('{');
-  for (;;) {
-    const std::string key = p.string_value();
-    p.expect(':');
+  for (const auto& [key, v] : doc.members()) {
     if (key == "ev") {
-      kind = p.string_value();
-      have_ev = true;
+      // Dispatched on below, once every field is read.
     } else if (key == "t") {
-      ev.t = p.int_value();
+      ev.t = v.as_int();
     } else if (key == "packet") {
-      ev.packet = as_u64(p.int_value(), p, "packet");
+      ev.packet = u64(v, key);
     } else if (key == "tag") {
-      ev.tag = as_u64(p.int_value(), p, "tag");
+      ev.tag = u64(v, key);
     } else if (key == "initial") {
-      ev.initial = p.bool_value();
+      ev.initial = v.as_bool();
     } else if (key == "route") {
-      ev.route = p.string_array();
+      for (const JsonValue& name : v.items())
+        ev.route.push_back(name.as_string());
     } else if (key == "edge") {
-      ev.edge = p.string_value();
+      ev.edge = v.as_string();
     } else if (key == "hop") {
-      ev.hop = as_u64(p.int_value(), p, "hop");
+      ev.hop = u64(v, key);
     } else if (key == "residence") {
-      ev.residence = p.int_value();
+      ev.residence = v.as_int();
     } else if (key == "latency") {
-      ev.latency = p.int_value();
+      ev.latency = v.as_int();
     } else if (key == "name") {
-      ev.name = p.string_value();
+      ev.name = v.as_string();
     } else {
-      p.fail("unknown key '" + key + "'");
+      fail("unknown key '" + key + "'");
     }
-    if (p.consume('}')) break;
-    p.expect(',');
   }
-  if (!p.at_end()) p.fail("trailing bytes after object");
-  if (!have_ev) p.fail("missing \"ev\" key");
-  if (kind == "inject") {
+  const std::string& k = kind->as_string();
+  if (k == "inject") {
     ev.kind = ObsEvent::Kind::kInject;
-    if (ev.route.empty()) p.fail("inject without route");
-  } else if (kind == "send") {
+    if (ev.route.empty()) fail("inject without route");
+  } else if (k == "send") {
     ev.kind = ObsEvent::Kind::kSend;
-    if (ev.edge.empty()) p.fail("send without edge");
-  } else if (kind == "absorb") {
+    if (ev.edge.empty()) fail("send without edge");
+  } else if (k == "absorb") {
     ev.kind = ObsEvent::Kind::kAbsorb;
-  } else if (kind == "milestone") {
+  } else if (k == "milestone") {
     ev.kind = ObsEvent::Kind::kMilestone;
-    if (ev.name.empty()) p.fail("milestone without name");
+    if (ev.name.empty()) fail("milestone without name");
   } else {
-    p.fail("unknown event kind '" + kind + "'");
+    fail("unknown event kind '" + k + "'");
   }
   return ev;
 }
@@ -247,7 +84,7 @@ void JsonlEventWriter::on_inject(Time t, std::uint64_t ordinal,
       << ",\"route\":[";
   for (std::size_t i = 0; i < route.size(); ++i) {
     if (i > 0) os_ << ',';
-    os_ << '"' << json_escape(graph_.edge(route[i]).name) << '"';
+    os_ << '"' << json_escape_string(graph_.edge(route[i]).name) << '"';
   }
   os_ << "]}\n";
   ++lines_;
@@ -256,7 +93,7 @@ void JsonlEventWriter::on_inject(Time t, std::uint64_t ordinal,
 void JsonlEventWriter::on_send(Time t, EdgeId e, std::uint64_t ordinal,
                                std::size_t hop, Time residence) {
   os_ << "{\"ev\":\"send\",\"t\":" << t << ",\"packet\":" << ordinal
-      << ",\"edge\":\"" << json_escape(graph_.edge(e).name)
+      << ",\"edge\":\"" << json_escape_string(graph_.edge(e).name)
       << "\",\"hop\":" << hop << ",\"residence\":" << residence << "}\n";
   ++lines_;
 }
@@ -269,7 +106,7 @@ void JsonlEventWriter::on_absorb(Time t, std::uint64_t ordinal, Time latency) {
 
 void JsonlEventWriter::milestone(Time t, const std::string& name) {
   os_ << "{\"ev\":\"milestone\",\"t\":" << t << ",\"name\":\""
-      << json_escape(name) << "\"}\n";
+      << json_escape_string(name) << "\"}\n";
   ++lines_;
 }
 

@@ -18,8 +18,9 @@
 //   {"ev":"absorb","t":2,"packet":0,"latency":2}
 //   {"ev":"milestone","t":0,"name":"run-begin"}
 //
-// parse_jsonl_events is the matching hardened reader: malformed input is
-// rejected with a PreconditionError naming the line — never a crash — so
+// parse_jsonl_events is the matching reader, built on the shared JSON layer
+// (util/json.hpp): malformed input is rejected with a PreconditionError
+// naming the line — never a crash — so
 // the stream round-trips (tests/obs) and can be consumed by untrusting
 // pipelines.
 #pragma once

@@ -6,47 +6,18 @@
 #include <sstream>
 
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::obs {
 namespace {
 
-/// Shortest round-trippable decimal for a double; integral values print
-/// without a trailing ".0" so counters-as-gauges stay clean.
+/// A double to ten significant digits ("%.10g": not round-trippable, a
+/// fixed width so snapshots diff cleanly); integral values print without
+/// a trailing ".0" so counters-as-gauges stay clean.
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.10g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Prometheus label values escape backslash, double-quote, and newline.
@@ -149,21 +120,22 @@ std::string to_prometheus(const MetricRegistry& registry) {
 
 std::string to_json(const MetricRegistry& registry, const std::string& tool) {
   std::ostringstream os;
-  os << "{\"schema\":\"aqt-metrics/1\",\"tool\":\"" << json_escape(tool)
+  os << "{\"schema\":\"aqt-metrics/1\",\"tool\":\"" << json_escape_string(tool)
      << "\",\"metrics\":[";
   bool first_fam = true;
   for (const auto& fam : registry.families()) {
     if (!first_fam) os << ',';
     first_fam = false;
     os << "{\"name\":\"" << fam.name << "\",\"type\":\""
-       << to_string(fam.type) << "\",\"help\":\"" << json_escape(fam.help)
-       << "\",\"label_key\":\"" << json_escape(fam.label_key)
+       << to_string(fam.type)
+       << "\",\"help\":\"" << json_escape_string(fam.help)
+       << "\",\"label_key\":\"" << json_escape_string(fam.label_key)
        << "\",\"values\":[";
     bool first_cell = true;
     for (const auto& cell : fam.cells) {
       if (!first_cell) os << ',';
       first_cell = false;
-      os << "{\"label\":\"" << json_escape(cell.label) << "\",";
+      os << "{\"label\":\"" << json_escape_string(cell.label) << "\",";
       switch (fam.type) {
         case MetricType::kCounter:
           os << "\"value\":" << cell.counter.value();

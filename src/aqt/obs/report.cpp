@@ -1,12 +1,12 @@
 #include "aqt/obs/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::obs {
 
@@ -63,163 +63,45 @@ ParsedTimeseries parse_timeseries_csv(const std::string& text) {
   return out;
 }
 
-namespace {
-
-/// Minimal reader for the JSON subset export.hpp emits: objects, arrays,
-/// strings with \-escapes, and plain numbers.  Position-tracked so errors
-/// point somewhere useful.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    AQT_REQUIRE(pos_ < text_.size(), "metrics JSON: unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    AQT_REQUIRE(peek() == c, "metrics JSON at byte "
-                                 << pos_ << ": expected '" << c << "', got '"
-                                 << text_[pos_] << "'");
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      AQT_REQUIRE(pos_ < text_.size(), "metrics JSON: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      AQT_REQUIRE(pos_ < text_.size(), "metrics JSON: dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          AQT_REQUIRE(pos_ + 4 <= text_.size(),
-                      "metrics JSON: truncated \\u escape");
-          // Our emitter only \u-escapes control bytes; fold to space.
-          pos_ += 4;
-          out += ' ';
-          break;
-        }
-        default:
-          out += esc;  // \" and \\ (and anything else, verbatim).
-      }
-    }
-  }
-
-  [[nodiscard]] double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    AQT_REQUIRE(pos_ > start, "metrics JSON at byte " << pos_
-                                                      << ": expected number");
-    return std::stod(text_.substr(start, pos_ - start));
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<ParsedMetricFamily> parse_metrics_json(const std::string& text) {
-  JsonCursor cur(text);
+  // A value of the wrong type fails in its JsonValue accessor.
+  const JsonValue doc = parse_json(text, "metrics JSON");
   std::vector<ParsedMetricFamily> families;
   std::string schema;
-  std::string tool;
-
-  cur.expect('{');
-  bool first_key = true;
-  while (true) {
-    if (cur.consume('}')) break;
-    if (!first_key) cur.expect(',');
-    first_key = false;
-    const std::string key = cur.string();
-    cur.expect(':');
+  for (const auto& [key, v] : doc.members()) {
     if (key == "schema") {
-      schema = cur.string();
+      schema = v.as_string();
     } else if (key == "tool") {
-      tool = cur.string();
+      (void)v.as_string();
     } else if (key == "metrics") {
-      cur.expect('[');
-      if (!cur.consume(']')) {
-        do {
-          ParsedMetricFamily fam;
-          cur.expect('{');
-          bool first_fkey = true;
-          while (!cur.consume('}')) {
-            if (!first_fkey) cur.expect(',');
-            first_fkey = false;
-            const std::string fkey = cur.string();
-            cur.expect(':');
-            if (fkey == "name") {
-              fam.name = cur.string();
-            } else if (fkey == "type") {
-              fam.type = cur.string();
-            } else if (fkey == "help") {
-              fam.help = cur.string();
-            } else if (fkey == "label_key") {
-              fam.label_key = cur.string();
-            } else if (fkey == "values") {
-              cur.expect('[');
-              if (!cur.consume(']')) {
-                do {
-                  ParsedMetricCell cell;
-                  cur.expect('{');
-                  bool first_ckey = true;
-                  while (!cur.consume('}')) {
-                    if (!first_ckey) cur.expect(',');
-                    first_ckey = false;
-                    const std::string ckey = cur.string();
-                    cur.expect(':');
-                    if (ckey == "label")
-                      cell.label = cur.string();
-                    else
-                      cell.fields.emplace_back(ckey, cur.number());
-                  }
-                  fam.cells.push_back(std::move(cell));
-                } while (cur.consume(','));
-                cur.expect(']');
+      for (const JsonValue& fv : v.items()) {
+        ParsedMetricFamily fam;
+        for (const auto& [fkey, f] : fv.members()) {
+          if (fkey == "name") {
+            fam.name = f.as_string();
+          } else if (fkey == "type") {
+            fam.type = f.as_string();
+          } else if (fkey == "help") {
+            fam.help = f.as_string();
+          } else if (fkey == "label_key") {
+            fam.label_key = f.as_string();
+          } else if (fkey == "values") {
+            for (const JsonValue& cv : f.items()) {
+              ParsedMetricCell cell;
+              for (const auto& [ckey, c] : cv.members()) {
+                if (ckey == "label")
+                  cell.label = c.as_string();
+                else
+                  cell.fields.emplace_back(ckey, c.as_double());
               }
-            } else {
-              AQT_REQUIRE(false,
-                          "metrics JSON: unknown family key '" << fkey << "'");
+              fam.cells.push_back(std::move(cell));
             }
+          } else {
+            AQT_REQUIRE(false,
+                        "metrics JSON: unknown family key '" << fkey << "'");
           }
-          families.push_back(std::move(fam));
-        } while (cur.consume(','));
-        cur.expect(']');
+        }
+        families.push_back(std::move(fam));
       }
     } else {
       AQT_REQUIRE(false, "metrics JSON: unknown top-level key '" << key << "'");

@@ -7,10 +7,9 @@
 // assets, no scripts: the file opens anywhere, attaches to CI artifacts,
 // and diffs cleanly because rendering is a pure function of its inputs.
 //
-// The parsers here accept exactly what this repo's exporters produce (the
-// CSV header contract of TimeseriesRecorder::to_csv and the aqt-metrics/1
-// schema) plus insignificant whitespace; they are readers for our own
-// formats, not general CSV/JSON libraries.
+// The parsers here accept what this repo's exporters produce: the CSV
+// header contract of TimeseriesRecorder::to_csv, and the aqt-metrics/1
+// schema read through the shared JSON layer (util/json.hpp).
 #pragma once
 
 #include <string>

@@ -5,6 +5,7 @@
 #include "aqt/core/engine.hpp"
 #include "aqt/core/graph.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::obs {
 
@@ -133,7 +134,7 @@ std::string TimeseriesRecorder::to_jsonl() const {
       os << ",\"edges\":{";
       for (std::size_t w = 0; w < watched; ++w)
         os << (w == 0 ? "" : ",") << '"'
-           << edge_label(graph_, config_.watched[w])
+           << json_escape_string(edge_label(graph_, config_.watched[w]))
            << "\":" << depths_[i * watched + w];
       os << '}';
     }

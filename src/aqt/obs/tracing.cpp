@@ -5,6 +5,7 @@
 
 #include "aqt/obs/export.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::obs {
 
@@ -53,18 +54,6 @@ void TraceEventLog::merge_from(const TraceEventLog& other) {
 
 namespace {
 
-/// Escapes the few JSON-special characters span names can contain.
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << ' ';
-    else
-      os << c;
-  }
-}
-
 /// Nanoseconds as decimal microseconds ("12.345").
 void append_micros(std::ostringstream& os, std::uint64_t nanos) {
   char buf[40];
@@ -88,22 +77,17 @@ std::string TraceEventLog::to_json(const std::string& process_name) const {
 
   sep();
   os << R"({"name":"process_name","ph":"M","pid":1,"tid":0,)"
-     << R"("args":{"name":")";
-  append_escaped(os, process_name);
-  os << "\"}}";
+     << R"("args":{"name":")" << json_escape_string(process_name) << "\"}}";
   for (const auto& [tid, name] : thread_names_) {
     sep();
     os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tid
-       << R"(,"args":{"name":")";
-    append_escaped(os, name);
-    os << "\"}}";
+       << R"(,"args":{"name":")" << json_escape_string(name) << "\"}}";
   }
 
   for (const TraceEvent& ev : events_) {
     sep();
-    os << "{\"name\":\"";
-    append_escaped(os, ev.name);
-    os << "\",\"cat\":\"" << ev.category << "\",\"ph\":\"" << ev.ph
+    os << "{\"name\":\"" << json_escape_string(ev.name)
+       << "\",\"cat\":\"" << ev.category << "\",\"ph\":\"" << ev.ph
        << "\",\"pid\":1,\"tid\":" << ev.tid << ",\"ts\":";
     append_micros(os, ev.ts_nanos);
     if (ev.ph == 'X') {

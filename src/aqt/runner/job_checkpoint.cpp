@@ -5,18 +5,10 @@
 #include <sstream>
 
 #include "aqt/util/check.hpp"
+#include "aqt/util/hash.hpp"
 
 namespace aqt {
 namespace {
-
-std::string hash_hex(std::uint64_t h) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << h;
-  return os.str();
-}
 
 template <typename Int>
 Int parse_num(const std::string& tok, const std::string& where,

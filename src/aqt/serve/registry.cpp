@@ -13,33 +13,6 @@
 
 namespace aqt {
 namespace serve {
-namespace {
-
-/// Longest simple forward path from node 0, capped at `d` edges — the same
-/// route aqt-sim computes for its convoy adversary, factored here so the
-/// compiled spec and the CLI agree packet for packet.
-Route convoy_route(const Graph& graph, std::int64_t d) {
-  Route path;
-  NodeId at = 0;
-  std::vector<bool> seen(graph.node_count(), false);
-  seen[at] = true;
-  while (!graph.out_edges(at).empty() &&
-         path.size() < static_cast<std::size_t>(d)) {
-    EdgeId next = kNoEdge;
-    for (EdgeId e : graph.out_edges(at))
-      if (!seen[graph.head(e)]) {
-        next = e;
-        break;
-      }
-    if (next == kNoEdge) break;
-    path.push_back(next);
-    at = graph.head(next);
-    seen[at] = true;
-  }
-  return path;
-}
-
-}  // namespace
 
 Registry::Registry() = default;
 

@@ -31,8 +31,8 @@
 
 #include "aqt/core/graph.hpp"
 #include "aqt/runner/run_spec.hpp"
-#include "aqt/serve/json.hpp"
 #include "aqt/serve/request.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt {
 namespace serve {

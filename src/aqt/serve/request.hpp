@@ -44,7 +44,7 @@
 #include <vector>
 
 #include "aqt/core/types.hpp"
-#include "aqt/serve/json.hpp"
+#include "aqt/util/json.hpp"
 #include "aqt/util/rational.hpp"
 
 namespace aqt {
@@ -130,7 +130,7 @@ RunRequest parse_run_request(const std::string& text,
 RunRequest parse_run_request(const JsonValue& doc, const std::string& where);
 
 /// The canonical JSON form: every field materialized (defaults included),
-/// fixed key order, serve::write_json bytes.  parse(canonical(x)) == x and
+/// fixed key order, write_json bytes.  parse(canonical(x)) == x and
 /// canonical(parse(canonical(x))) == canonical(x) — the round-trip anchor
 /// the serve/offline byte-identity tests pin.
 JsonValue run_request_to_json(const RunRequest& req);

@@ -1,22 +1,11 @@
 #include "aqt/serve/result.hpp"
 
-#include <cstdio>
-
 #include "aqt/core/stability.hpp"
 #include "aqt/obs/export.hpp"
+#include "aqt/util/hash.hpp"
 
 namespace aqt {
 namespace serve {
-namespace {
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-}  // namespace
 
 JsonValue run_result_to_json(const RunResult& result) {
   JsonValue doc = JsonValue::make_object();

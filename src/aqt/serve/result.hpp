@@ -16,7 +16,7 @@
 #include <string>
 
 #include "aqt/runner/run_spec.hpp"
-#include "aqt/serve/json.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt {
 namespace serve {

@@ -145,14 +145,8 @@ void RunTraceWriter::finish(std::uint64_t injected, std::uint64_t absorbed) {
   AQT_CHECK(!finished_, "finish() called twice");
   line("end " + std::to_string(last_step_) + " " + std::to_string(injected) +
        " " + std::to_string(absorbed));
-  const std::uint64_t h = hash_.value();
-  std::ostringstream os;
-  os << "hash " << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << h;
   // The hash line itself is excluded from the hash.
-  os_ << os.str() << '\n';
+  os_ << "hash " << hash_hex(hash_.value()) << '\n';
   os_.flush();
   finished_ = true;
 }
@@ -395,12 +389,7 @@ std::string fnv1a_hex(std::istream& is) {
   char buf[4096];
   while (is.read(buf, sizeof buf) || is.gcount() > 0)
     hash.update(std::string_view(buf, static_cast<std::size_t>(is.gcount())));
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << hash.value();
-  return os.str();
+  return hash_hex(hash.value());
 }
 
 std::string file_digest_hex(const std::string& path) {

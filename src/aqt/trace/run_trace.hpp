@@ -50,38 +50,17 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aqt/core/graph.hpp"
 #include "aqt/core/trace_sink.hpp"
 #include "aqt/core/types.hpp"
+#include "aqt/util/hash.hpp"
 #include "aqt/util/rational.hpp"
 
 namespace aqt {
 
 inline constexpr int kRunTraceVersion = 1;
-
-/// Streaming FNV-1a 64 over bytes; the run-trace content hash.
-class Fnv1a {
- public:
-  Fnv1a() = default;
-  /// Resumes hashing mid-stream from a previously saved value() — the
-  /// mechanism that lets a checkpointed run's trace hash continue exactly
-  /// where the interrupted segment stopped (runner/job_checkpoint.hpp).
-  explicit Fnv1a(std::uint64_t resume_state) : hash_(resume_state) {}
-
-  void update(std::string_view bytes) {
-    for (const char c : bytes) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 /// Run-level context recorded in the trace header.
 struct RunTraceMeta {

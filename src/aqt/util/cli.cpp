@@ -6,6 +6,20 @@
 
 namespace aqt {
 
+namespace {
+
+bool is_true_spelling(const std::string& v) {
+  return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+bool is_false_spelling(const std::string& v) {
+  return v == "0" || v == "false" || v == "no" || v == "off";
+}
+bool is_bool_spelling(const std::string& v) {
+  return is_true_spelling(v) || is_false_spelling(v);
+}
+
+}  // namespace
+
 Cli::Cli(std::string program, std::string about)
     : program_(std::move(program)), about_(std::move(about)) {}
 
@@ -50,18 +64,21 @@ bool Cli::parse(int argc, char** argv) {
     AQT_REQUIRE(arg.size() > 2 && arg[0] == '-' && arg[1] == '-',
                 "unexpected argument: " << arg);
     arg = arg.substr(2);
-    std::string value;
     const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    auto it = flags_.find(name);
+    AQT_REQUIRE(it != flags_.end(), "unknown flag --" << name);
     if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
+      it->second.value = arg.substr(eq + 1);
+    } else if (it->second.def == "true" || it->second.def == "false") {
+      // A boolean flag stands alone ("--profile" means true) and takes the
+      // next argument only when that is itself a boolean spelling.
+      const bool next_is_value = i + 1 < argc && is_bool_spelling(argv[i + 1]);
+      it->second.value = next_is_value ? argv[++i] : "true";
     } else {
-      AQT_REQUIRE(i + 1 < argc, "flag --" << arg << " needs a value");
-      value = argv[++i];
+      AQT_REQUIRE(i + 1 < argc, "flag --" << name << " needs a value");
+      it->second.value = argv[++i];
     }
-    auto it = flags_.find(arg);
-    AQT_REQUIRE(it != flags_.end(), "unknown flag --" << arg);
-    it->second.value = value;
   }
   return true;
 }
@@ -102,7 +119,10 @@ double Cli::get_double(const std::string& name) const {
 
 bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  AQT_REQUIRE(is_bool_spelling(v),
+              "flag --" << name << " needs a boolean (true/false, 1/0, "
+                                   "yes/no, on/off), got '" << v << "'");
+  return is_true_spelling(v);
 }
 
 Rat Cli::get_rat(const std::string& name) const {

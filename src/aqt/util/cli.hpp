@@ -2,7 +2,9 @@
 //
 // Supports `--name value` and `--name=value`; unknown flags are an error so
 // typos are caught.  Each binary declares its flags with defaults and a help
-// string; `--help` prints them and exits.
+// string; `--help` prints them and exits.  A flag whose default is "true"
+// or "false" is boolean: a bare `--name` means true, and the next argument
+// is its value only when it is a boolean spelling.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +42,8 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  /// Accepts true/false, 1/0, yes/no, on/off; throws PreconditionError
+  /// naming the flag on any other value.
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] Rat get_rat(const std::string& name) const;
 

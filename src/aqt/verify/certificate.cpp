@@ -1,9 +1,9 @@
 #include "aqt/verify/certificate.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "aqt/analysis/bounds.hpp"
+#include "aqt/util/hash.hpp"
 
 namespace aqt {
 namespace {
@@ -158,14 +158,11 @@ StabilityCertificate make_stability_certificate(const VerifyReport& report) {
 
 std::string StabilityCertificate::text() const {
   std::ostringstream os;
-  char hash_buf[24];
-  std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
-                static_cast<unsigned long long>(trace_hash));
   os << "-----BEGIN AQT STABILITY CERTIFICATE-----\n"
      << "kind: " << certificate_kind_name(kind) << "\n"
      << "theorem: " << (theorem.empty() ? "-" : theorem) << "\n"
      << "protocol: " << protocol << "\n"
-     << "trace-hash: " << hash_buf << "\n";
+     << "trace-hash: " << hash_hex(trace_hash) << "\n";
   if (w > 0) os << "w: " << w << "\n";
   os << "r: " << r.str() << "\n"
      << "d: " << d << "\n"

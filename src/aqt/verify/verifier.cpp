@@ -1,13 +1,14 @@
 #include "aqt/verify/verifier.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "aqt/util/check.hpp"
+#include "aqt/util/hash.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt {
 namespace {
@@ -32,35 +33,6 @@ bool in_table(const char* const (&table)[N], const std::string& name) {
   for (const char* entry : table)
     if (name == entry) return true;
   return false;
-}
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
 }
 
 /// The verifier's packet model: identity is the creation ordinal, position
@@ -645,8 +617,8 @@ std::string to_human(const std::vector<VerifyReport>& reports) {
       os << rep.file << ": OK (" << rep.protocol << ", steps=" << rep.steps
          << ", injected=" << rep.injected << ", absorbed=" << rep.absorbed
          << ", resident=" << rep.resident << ", d=" << rep.observed_d
-         << ", max-wait=" << rep.max_wait << ", hash=" << std::hex
-         << rep.trace_hash << std::dec << ")\n";
+         << ", max-wait=" << rep.max_wait
+         << ", hash=" << hash_hex(rep.trace_hash) << ")\n";
       continue;
     }
     os << rep.file << ": " << rep.findings.size() << " violation"
@@ -669,29 +641,22 @@ std::string to_json(const std::vector<VerifyReport>& reports) {
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const VerifyReport& rep = reports[i];
     if (i) os << ",";
-    os << "{\"file\":\"" << json_escape(rep.file) << "\","
+    os << "{\"file\":\"" << json_escape_string(rep.file) << "\","
        << "\"ok\":" << (rep.ok() ? "true" : "false") << ","
-       << "\"protocol\":\"" << json_escape(rep.protocol) << "\","
+       << "\"protocol\":\"" << json_escape_string(rep.protocol) << "\","
        << "\"steps\":" << rep.steps << ","
        << "\"injected\":" << rep.injected << ","
        << "\"absorbed\":" << rep.absorbed << ","
        << "\"resident\":" << rep.resident << ","
        << "\"observed_d\":" << rep.observed_d << ","
        << "\"max_wait\":" << rep.max_wait << ","
-       << "\"hash\":\"";
-    {
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(rep.trace_hash));
-      os << buf;
-    }
-    os << "\","
+       << "\"hash\":\"" << hash_hex(rep.trace_hash) << "\","
        << "\"truncated\":" << (rep.findings_truncated ? "true" : "false")
        << ",\"findings\":[";
     for (std::size_t j = 0; j < rep.findings.size(); ++j) {
       const VerifyFinding& f = rep.findings[j];
       if (j) os << ",";
-      os << "{\"code\":\"" << json_escape(f.code) << "\","
+      os << "{\"code\":\"" << json_escape_string(f.code) << "\","
          << "\"step\":" << f.step << ","
          << "\"ordinal\":"
          << (f.ordinal == kNoOrdinal
@@ -701,7 +666,7 @@ std::string to_json(const std::vector<VerifyReport>& reports) {
          << "\"edge\":"
          << (f.edge == kNoEdge ? std::string("-1") : std::to_string(f.edge))
          << ","
-         << "\"message\":\"" << json_escape(f.message) << "\"}";
+         << "\"message\":\"" << json_escape_string(f.message) << "\"}";
     }
     os << "]}";
   }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/adversaries/scripted.hpp"
@@ -170,6 +171,53 @@ TEST(Checkpoint, RejectsGarbageStream) {
   Engine eng(g, fifo);
   std::stringstream buf("not a checkpoint at all");
   EXPECT_THROW(load_checkpoint(eng, buf), PreconditionError);
+}
+
+TEST(Checkpoint, WritesVersionThreeWithTheStandardFnv1aGraphChecksum) {
+  const Graph g = make_line(3);
+  FifoProtocol fifo;
+  Engine eng(g, fifo);
+  std::stringstream buf;
+  save_checkpoint(eng, buf);
+  // Independent spelling of the checksum: FNV-1a 64 with the standard
+  // offset basis over every edge name, each followed by 0x1f.
+  std::uint64_t h = 14695981039346656037ULL;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    for (const char c : g.edge(e).name + '\x1f') {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  std::string magic, graph_word;
+  int version = 0;
+  std::size_t edges = 0;
+  std::uint64_t checksum = 0;
+  buf >> magic >> version >> graph_word >> edges >> checksum;
+  EXPECT_EQ(magic, "AQT-CHECKPOINT");
+  EXPECT_EQ(version, 3);
+  EXPECT_EQ(edges, g.edge_count());
+  EXPECT_EQ(checksum, h);
+}
+
+TEST(Checkpoint, RejectsVersionTwoNamingTheVersion) {
+  const Graph g = make_line(3);
+  FifoProtocol fifo;
+  Engine eng(g, fifo);
+  eng.run(nullptr, 3);
+  std::stringstream buf;
+  save_checkpoint(eng, buf);
+  std::string text = buf.str();
+  ASSERT_EQ(text.rfind("AQT-CHECKPOINT 3\n", 0), 0u);
+  text.replace(0, std::string("AQT-CHECKPOINT 3").size(), "AQT-CHECKPOINT 2");
+  std::stringstream old(text);
+  Engine fresh(g, fifo);
+  try {
+    load_checkpoint(fresh, old);
+    FAIL() << "a version-2 checkpoint loaded";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, FileRoundtripAndMissingFileErrors) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "aqt/adversaries/stochastic.hpp"
 #include "aqt/core/engine.hpp"
@@ -14,8 +15,11 @@
 namespace aqt {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// protocol name is held inline: a std::string would put a heap address into
+// the test names and make them differ from one build to the next.
 struct Combo {
-  std::string protocol;
+  char protocol[32];
   std::uint64_t seed;
 };
 
@@ -99,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{"NIS", 4}, Combo{"FTG", 5}, Combo{"NTG", 6},
                       Combo{"FFS", 7}, Combo{"NTS", 8}, Combo{"RANDOM", 9}),
     [](const ::testing::TestParamInfo<Combo>& info) {
-      return info.param.protocol;
+      return std::string(info.param.protocol);
     });
 
 TEST(FifoOrderProperty, GlobalFifoOrderPerBuffer) {

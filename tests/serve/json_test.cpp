@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "aqt/serve/json.hpp"
+#include "aqt/util/json.hpp"
 #include "aqt/util/check.hpp"
 
 namespace aqt {
@@ -84,6 +84,15 @@ TEST(ServeJson, EscapesControlBytes) {
   raw += "b\tc";
   JsonValue doc = JsonValue::make_string(raw);
   EXPECT_EQ(write_json(doc), "\"a\\u0001b\\tc\"");
+}
+
+TEST(ServeJson, NegativeZeroWritesAsZeroSoWritingIsAFixedPoint) {
+  // "-0" would read back as the integer 0 and re-write as "0".
+  const JsonValue neg_zero = JsonValue::make_double(-0.0);
+  EXPECT_EQ(write_json(neg_zero), "0");
+  const std::string once = write_json(parse_json("[-0.0,0.5,-0,1e2]", "t"));
+  EXPECT_EQ(once, "[0,0.5,0,100]");
+  EXPECT_EQ(write_json(parse_json(once, "t")), once);
 }
 
 TEST(ServeJson, IntegersSurviveExactly) {

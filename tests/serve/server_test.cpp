@@ -14,7 +14,7 @@
 #include <string>
 
 #include "aqt/runner/run_spec.hpp"
-#include "aqt/serve/json.hpp"
+#include "aqt/util/json.hpp"
 #include "aqt/serve/registry.hpp"
 #include "aqt/serve/request.hpp"
 #include "aqt/serve/result.hpp"

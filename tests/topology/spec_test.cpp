@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "aqt/util/check.hpp"
 
 namespace aqt {
@@ -12,6 +14,10 @@ struct SpecCase {
   std::size_t nodes;
   std::size_t edges;
 };
+
+// Print the spec string rather than the raw bytes, which hold the address of
+// the string literal and so would make the test names differ between builds.
+void PrintTo(const SpecCase& c, std::ostream* os) { *os << c.spec; }
 
 class SpecSweep : public ::testing::TestWithParam<SpecCase> {};
 

@@ -4,6 +4,7 @@
 
 #include "aqt/util/check.hpp"
 
+#include <string>
 #include <vector>
 
 namespace aqt {
@@ -70,6 +71,69 @@ TEST(Cli, BoolFlagVariants) {
   Args a({"--audit=0"});
   ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
   EXPECT_FALSE(cli.get_bool("audit"));
+}
+
+TEST(Cli, BareBooleanFlagMeansTrueAndLeavesTheNextFlagAlone) {
+  Cli cli("t", "test");
+  cli.flag("profile", "false", "profile");
+  cli.flag("steps", "100", "step count");
+  Args a({"--profile", "--steps", "10"});
+  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+  EXPECT_TRUE(cli.get_bool("profile"));
+  EXPECT_EQ(cli.get_int("steps"), 10);
+
+  Cli last("t", "test");
+  last.flag("profile", "false", "profile");
+  Args b({"--profile"});
+  ASSERT_TRUE(last.parse(b.argc(), b.argv()));
+  EXPECT_TRUE(last.get_bool("profile"));
+}
+
+TEST(Cli, BooleanFlagTakesTheNextArgumentOnlyWhenItIsABoolean) {
+  Cli cli("t", "test");
+  cli.flag("audit", "true", "audit");
+  cli.flag("replay", "false", "replay");
+  cli.positionals("file...", "inputs");
+  Args a({"--audit", "off", "--replay", "scenario.aqts"});
+  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+  EXPECT_FALSE(cli.get_bool("audit"));
+  EXPECT_TRUE(cli.get_bool("replay"));
+  EXPECT_EQ(cli.positional_args(),
+            (std::vector<std::string>{"scenario.aqts"}));
+}
+
+TEST(Cli, GetBoolRejectsAMisspellingAndNamesTheFlag) {
+  for (const char* v : {"flase", "", "2", "TRUE"}) {
+    Cli cli("t", "test");
+    cli.flag("audit", "false", "audit");
+    Args a({std::string("--audit=") + v});
+    ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+    try {
+      (void)cli.get_bool("audit");
+      ADD_FAILURE() << "accepted '" << v << "'";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--audit"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* v : {"0", "false", "no", "off"}) {
+    Cli cli("t", "test");
+    cli.flag("audit", "true", "audit");
+    Args a({std::string("--audit=") + v});
+    ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+    EXPECT_FALSE(cli.get_bool("audit")) << v;
+  }
+}
+
+TEST(Cli, NonBooleanFlagStillConsumesItsValue) {
+  // "1"/"0" defaults are numbers, not booleans: --jobs 4 keeps its value.
+  Cli cli("t", "test");
+  add_jobs_flag(cli);
+  cli.flag("progress", "0", "heartbeat");
+  Args a({"--jobs", "4", "--progress", "true"});
+  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+  EXPECT_EQ(get_jobs(cli), 4u);
+  EXPECT_EQ(cli.get("progress"), "true");
 }
 
 TEST(Cli, UnknownFlagThrows) {

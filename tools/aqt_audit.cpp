@@ -43,48 +43,30 @@
 #include "aqt/runner/pool.hpp"
 #include "aqt/util/check.hpp"
 #include "aqt/util/cli.hpp"
+#include "aqt/util/hash.hpp"
+#include "aqt/util/json.hpp"
 
 namespace {
 
 /// Pulls the "file" entries out of a CMake compile_commands.json (emitted
-/// under CMAKE_EXPORT_COMPILE_COMMANDS).  A focused scan, not a general
-/// JSON parser: every `"file" : "<path>"` pair is collected, escapes
-/// decoded, and the result filtered/sorted like a directory walk — the
-/// audited set is then exactly the set of TUs the build compiles.
+/// under CMAKE_EXPORT_COMPILE_COMMANDS) and filters/sorts them like a
+/// directory walk — the audited set is then exactly the set of TUs the
+/// build compiles.
 std::vector<std::string> files_from_compile_commands(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   AQT_REQUIRE(in.good(), "cannot open compile commands: " << path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
+  const aqt::JsonValue doc = aqt::parse_json(buf.str(), path);
+  AQT_REQUIRE(doc.is_array(),
+              "malformed compile commands " << path << ": not an array");
   std::vector<std::string> files;
-  std::size_t at = 0;
-  while ((at = text.find("\"file\"", at)) != std::string::npos) {
-    at += 6;
-    while (at < text.size() &&
-           (text[at] == ' ' || text[at] == '\t' || text[at] == '\n' ||
-            text[at] == '\r' || text[at] == ':'))
-      ++at;
-    AQT_REQUIRE(at < text.size() && text[at] == '"',
+  for (const aqt::JsonValue& entry : doc.items()) {
+    const aqt::JsonValue* file = entry.find("file");
+    AQT_REQUIRE(file != nullptr && file->is_string(),
                 "malformed compile commands " << path
-                                              << ": \"file\" without value");
-    ++at;
-    std::string value;
-    while (at < text.size() && text[at] != '"') {
-      if (text[at] == '\\' && at + 1 < text.size()) {
-        ++at;  // \" and \\ are the escapes CMake emits in paths.
-        value += text[at];
-      } else {
-        value += text[at];
-      }
-      ++at;
-    }
-    AQT_REQUIRE(at < text.size(), "malformed compile commands " << path
-                                                                << ": "
-                                                                   "unterminat"
-                                                                   "ed string");
-    ++at;
-    const std::filesystem::path p(value);
+                                              << ": entry without \"file\"");
+    const std::filesystem::path p(file->as_string());
     if (aqt::audit::auditable_source_path(p.generic_string()))
       files.push_back(p.generic_string());
   }
@@ -93,13 +75,6 @@ std::vector<std::string> files_from_compile_commands(const std::string& path) {
   AQT_REQUIRE(!files.empty(),
               "no auditable sources in compile commands: " << path);
   return files;
-}
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
 }
 
 /// Rewrites the baseline without its stale entries: sorted, one line per
@@ -111,7 +86,7 @@ void prune_baseline(const std::string& path,
   // Subtract the stale multiset.
   std::map<std::string, std::size_t> dead;
   const auto key = [](const aqt::audit::BaselineEntry& e) {
-    return e.rule + '\t' + e.file + '\t' + hash_hex(e.line_hash);
+    return e.rule + '\t' + e.file + '\t' + aqt::hash_hex(e.line_hash);
   };
   for (const aqt::audit::BaselineEntry& e : stale) ++dead[key(e)];
   std::vector<std::string> lines;

@@ -23,7 +23,12 @@
 // adversary traces (truncation, byte flips, line deletion/duplication,
 // garbage insertion) and requires both hardened parsers to either accept
 // the result or reject it with a diagnostic PreconditionError — never
-// crash, abort, or throw anything else.
+// crash, abort, or throw anything else.  Each trial also mutates one JSON
+// document (the same damage plus spliced tokens, nesting around the depth
+// bound, duplicate keys, huge numbers, oversized input) and requires the
+// shared JSON parser to reject it with a PreconditionError or to parse it
+// to a value whose canonical form is a write -> parse -> write fixed
+// point; the first JSON failure exits nonzero.
 //
 // Observer-effect phase (--obs-trials): runs the same scripted trial three
 // times — bare; with the full observability stack (step-phase profiler +
@@ -42,8 +47,10 @@
 //   aqt-fuzz [--trials 200] [--steps 80] [--lint-trials 100]
 //            [--trace-trials 150] [--obs-trials 40] [--seed 1] [--jobs 4]
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aqt/core/engine.hpp"
@@ -65,6 +72,8 @@
 #include "aqt/trace/trace.hpp"
 #include "aqt/util/check.hpp"
 #include "aqt/util/cli.hpp"
+#include "aqt/util/hash.hpp"
+#include "aqt/util/json.hpp"
 #include "aqt/util/rng.hpp"
 #include "aqt/verify/verifier.hpp"
 
@@ -327,9 +336,105 @@ std::string mutate_text(const std::string& text, Rng& rng) {
   return out;
 }
 
+/// Seed documents for the JSON cases: the shapes the metrics, lint and
+/// verify emitters produce, plus a hand-built document with every value
+/// kind, escapes and borderline numbers.
+std::vector<std::string> make_json_corpus() {
+  std::vector<std::string> corpus;
+  obs::MetricRegistry reg;
+  reg.counter("aqt_fuzz_total", "a \"quoted\" help", "edge", "e\\0").inc(3);
+  reg.gauge("aqt_fuzz_ratio", "a ratio").set(0.125);
+  reg.histogram("aqt_fuzz_nanos", "a histogram").add(1234);
+  corpus.push_back(obs::to_json(reg, "aqt-fuzz"));
+  LintReport lint;
+  lint.file = "x.aqts";
+  lint.findings.push_back(LintFinding{"dangling-edge", 2, "edge 'a\tb'"});
+  corpus.push_back(to_json(std::vector<LintReport>{lint}));
+  VerifyReport verify;
+  verify.file = "run.aqtt";
+  verify.protocol = "FIFO";
+  verify.trace_hash = 0x0123456789abcdefULL;
+  corpus.push_back(to_json(std::vector<VerifyReport>{verify}));
+  corpus.push_back(
+      R"({"name":"fuzz \u00e9\u0001\r","steps":-0,"w":12,"r":"1/4",)"
+      R"("rate":0.25,"big":1.7976931348623157e308,"neg":-2.5e-300,)"
+      R"("flags":[true,false,null],"nested":{"a":[[],{}],"b":"\\\"\/"}})");
+  return corpus;
+}
+
+/// One mutation of a JSON document: generic text damage, a spliced
+/// JSON-significant token, nesting that straddles the depth bound, a
+/// duplicate key, a huge or borderline number, or an oversized document.
+std::string mutate_json(const std::string& doc, Rng& rng) {
+  switch (rng.below(6)) {
+    case 0:
+      return mutate_text(doc, rng);
+    case 1: {
+      static constexpr const char* kTokens[] = {
+          "\"", "\\", "{", "}", "[", "]", ",", ":", "\\u0000", "\\ud800",
+          "\\u00", "\x01", "\x7f", "\xff", "-", ".", "e", "nul", "tru", " "};
+      std::string out = doc;
+      out.insert(rng.below(out.size() + 1),
+                 kTokens[rng.below(std::size(kTokens))]);
+      return out;
+    }
+    case 2: {
+      const std::size_t depth = kMaxJsonDepth - 2 + rng.below(5);
+      return std::string(depth, '[') + doc + std::string(depth, ']');
+    }
+    case 3:
+      return "{\"dup\":" + doc + ",\"dup\":0}";
+    case 4: {
+      static constexpr const char* kNumbers[] = {
+          "1e999", "-1e999", "99999999999999999999", "-9223372036854775809",
+          "9223372036854775807", "-9223372036854775808", "1e-400",
+          "4.9406564584124654e-324", "-0", "-0.0", "0.1", "1E+2", "00", "1.e5",
+          "123456789012345678"};
+      const std::string number = kNumbers[rng.below(std::size(kNumbers))];
+      const std::size_t at = doc.find_first_of("0123456789", rng.below(
+                                                   doc.size() + 1));
+      if (at == std::string::npos) return doc + number;
+      std::size_t end = at;
+      while (end < doc.size() &&
+             std::string_view("0123456789.eE+-").find(doc[end]) !=
+                 std::string_view::npos)
+        ++end;
+      return doc.substr(0, at) + number + doc.substr(end);
+    }
+    default:
+      return doc + std::string(kMaxJsonBytes, ' ');
+  }
+}
+
+/// The shared parser's contract on one document: a PreconditionError, or
+/// a value whose canonical form is a fixed point of write_json ->
+/// parse_json -> write_json.  Returns the violation, or "" when it holds.
+std::string check_json_case(const std::string& text) {
+  JsonValue value;
+  try {
+    value = parse_json(text, "fuzz");
+  } catch (const PreconditionError&) {
+    return "";  // Diagnostic rejection.
+  } catch (const std::exception& e) {
+    return std::string("parse threw a foreign exception: ") + e.what();
+  }
+  try {
+    const std::string canonical = write_json(value);
+    const std::string again = write_json(parse_json(canonical, "canonical"));
+    if (again != canonical)
+      return "canonical form is not a fixed point: " + canonical + " -> " +
+             again;
+  } catch (const std::exception& e) {
+    return std::string("canonical form does not re-parse: ") + e.what();
+  }
+  return "";
+}
+
 /// Hardened-parser fuzz: mutated traces must parse or be rejected with a
 /// PreconditionError — any crash, abort, or foreign exception is a
-/// failure.  Returns the number of failing trials.
+/// failure.  Each trial also feeds one mutated document to the shared
+/// JSON parser, and the first JSON failure ends the phase.  Returns the
+/// number of failing trials.
 std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
   std::vector<TraceCorpusEntry> corpus;
   {
@@ -351,6 +456,16 @@ std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
     }
     std::istringstream adv_is(entry.adversary_text);
     (void)Trace::load(adv_is, entry.graph);
+  }
+
+  const std::vector<std::string> json_corpus = make_json_corpus();
+  for (const std::string& doc : json_corpus) {
+    try {
+      (void)parse_json(doc, "json corpus");
+    } catch (const PreconditionError& e) {
+      std::printf("JSON CORPUS NOT CLEAN: %s\n", e.what());
+      return 1;
+    }
   }
 
   std::int64_t failures = 0;
@@ -377,6 +492,15 @@ std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
       std::printf("PARSER MISBEHAVIOUR: trial %lld threw %s\n",
                   static_cast<long long>(trial), e.what());
       ++failures;
+    }
+    std::string doc = json_corpus[rng.below(json_corpus.size())];
+    for (std::uint64_t k = 1 + rng.below(3); k > 0; --k)
+      doc = mutate_json(doc, rng);
+    const std::string why = check_json_case(doc);
+    if (!why.empty()) {
+      std::printf("JSON PARSER MISBEHAVIOUR: trial %lld: %s\n",
+                  static_cast<long long>(trial), why.c_str());
+      return failures + 1;
     }
   }
   return failures;
@@ -488,12 +612,10 @@ std::int64_t run_obs_fuzz(std::int64_t trials, Rng& master, unsigned jobs) {
           char buf[200];
           std::snprintf(buf, sizeof buf,
                         "OBSERVER EFFECT: trial %lld protocol %s trace hash "
-                        "%016llx (bare) vs %016llx (observed) vs %016llx "
-                        "(phase-traced)",
+                        "%s (bare) vs %s (observed) vs %s (phase-traced)",
                         static_cast<long long>(trial), proto.c_str(),
-                        static_cast<unsigned long long>(bare),
-                        static_cast<unsigned long long>(observed),
-                        static_cast<unsigned long long>(traced));
+                        hash_hex(bare).c_str(), hash_hex(observed).c_str(),
+                        hash_hex(traced).c_str());
           // aqt-audit: allow(AUD008) -- slot trial has exactly one writer
           messages[trial] = buf;
         }

@@ -56,6 +56,7 @@
 #include "aqt/util/check.hpp"
 #include "aqt/util/cli.hpp"
 #include "aqt/util/csv.hpp"
+#include "aqt/util/hash.hpp"
 #include "aqt/util/table.hpp"
 #include "aqt/verify/scenario_run.hpp"
 
@@ -151,14 +152,12 @@ int run_batch(const Cli& cli) {
            "status"});
   bool all_ok = true;
   for (const RunResult& r : report.results) {
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(r.trace_hash));
     t.rowv(r.name, r.protocol, static_cast<long long>(r.steps_run),
            static_cast<long long>(r.injected),
            static_cast<long long>(r.absorbed),
            static_cast<long long>(r.max_queue),
-           static_cast<long long>(r.max_residence), r.feasible, hash,
+           static_cast<long long>(r.max_residence), r.feasible,
+           hash_hex(r.trace_hash),
            r.ok() ? std::string("ok") : r.error);
     all_ok = all_ok && r.ok() && r.feasible;
   }
@@ -267,27 +266,11 @@ static int run_main(int argc, char** argv) {
   meta.protocol = protocol_name;
   meta.seed = seed;
 
-  // Convoy route: the longest simple forward path from node 0's first
-  // out-edge.  Depends only on the graph, so computed once even when the
-  // run is repeated for the determinism check.
+  // Convoy route.  Depends only on the graph, so computed once even when
+  // the run is repeated for the determinism check.
   Route convoy_path;
   if (kind == "convoy") {
-    NodeId at = 0;
-    std::vector<bool> seen(topo.graph.node_count(), false);
-    seen[at] = true;
-    while (!topo.graph.out_edges(at).empty() &&
-           convoy_path.size() < static_cast<std::size_t>(cli.get_int("d"))) {
-      EdgeId next = kNoEdge;
-      for (EdgeId e : topo.graph.out_edges(at))
-        if (!seen[topo.graph.head(e)]) {
-          next = e;
-          break;
-        }
-      if (next == kNoEdge) break;
-      convoy_path.push_back(next);
-      at = topo.graph.head(next);
-      seen[at] = true;
-    }
+    convoy_path = convoy_route(topo.graph, cli.get_int("d"));
     AQT_REQUIRE(!convoy_path.empty(), "no forward path for the convoy");
   }
 
@@ -582,14 +565,14 @@ static int run_main(int argc, char** argv) {
     if (first_hash != second_hash) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: replay from seed %llu diverged "
-                   "(trace hash %016llx vs %016llx)\n",
+                   "(trace hash %s vs %s)\n",
                    static_cast<unsigned long long>(seed),
-                   static_cast<unsigned long long>(first_hash),
-                   static_cast<unsigned long long>(second_hash));
+                   hash_hex(first_hash).c_str(),
+                   hash_hex(second_hash).c_str());
       return 1;
     }
-    std::printf("determinism: replay matched (trace hash %016llx)\n",
-                static_cast<unsigned long long>(first_hash));
+    std::printf("determinism: replay matched (trace hash %s)\n",
+                hash_hex(first_hash).c_str());
   }
   return audit_ok ? 0 : 1;
 }
