@@ -113,7 +113,12 @@ void load_checkpoint(Engine& engine, std::istream& is) {
       AQT_REQUIRE(is && e < g.edge_count(), "bad edge id in packet route");
     }
     AQT_REQUIRE(p.hop < route.size(), "packet beyond end of route");
-    p.route = engine.routes_.intern(route);
+    // Through the engine's validating intern, so that a tampered checkpoint
+    // cannot put a non-simple route into the table.
+    const std::optional<RouteRef> ref = engine.intern_route(route);
+    AQT_REQUIRE(ref.has_value(),
+                "packet " << i << " route is not a simple path");
+    p.route = *ref;
     const PacketId id = engine.arena_.restore(p, ordinal, tag);
     // Rebuild the buffer entry: the key is a pure function of the packet's
     // stored arrival data, so deterministic protocols reproduce it exactly.

@@ -87,12 +87,9 @@ void Engine::for_each_active(Fn&& fn) const {
 PacketId Engine::add_initial_packet(const Route& route, std::uint64_t tag) {
   AQT_REQUIRE(!stepping_started_,
               "initial packets must be added before the first step");
-  if (config_.validate_routes) {
-    AQT_REQUIRE(graph_.is_simple_path(route),
-                "initial packet route is not a simple path");
-  }
-  const PacketId id =
-      arena_.create(routes_.intern(route), /*inject_time=*/0, tag);
+  const std::optional<RouteRef> ref = intern_route(route);
+  AQT_REQUIRE(ref.has_value(), "initial packet route is not a simple path");
+  const PacketId id = arena_.create(*ref, /*inject_time=*/0, tag);
   enqueue(id, /*t=*/0);
   const std::uint64_t ordinal = arena_.meta(id).ordinal;
   if (config_.sinks.trace)
@@ -207,22 +204,26 @@ void Engine::apply_reroute(const Reroute& rr) {
                              1);
   splice_scratch_.insert(splice_scratch_.end(), rr.new_suffix.begin(),
                          rr.new_suffix.end());
-  if (config_.validate_routes) {
-    AQT_REQUIRE(graph_.is_simple_path(splice_scratch_),
-                "rerouted route is not a simple path (packet " << rr.packet
-                                                               << ")");
-  }
+  const std::optional<RouteRef> ref = intern_route(splice_scratch_);
+  AQT_REQUIRE(ref.has_value(), "rerouted route is not a simple path (packet "
+                                   << rr.packet << ")");
   // The packet's buffer position is untouched: historic protocols' keys do
   // not depend on the route beyond the next edge, so no re-keying is needed.
-  p.route = routes_.intern(splice_scratch_);
+  p.route = *ref;
 }
 
 void Engine::apply_injection(const Injection& inj, Time t) {
-  if (config_.validate_routes) {
-    AQT_REQUIRE(graph_.is_simple_path(inj.route),
-                "injected route is not a simple path");
-  }
-  apply_injection_ref(routes_.intern(inj.route), inj.tag, t);
+  const std::optional<RouteRef> ref = intern_route(inj.route);
+  AQT_REQUIRE(ref.has_value(), "injected route is not a simple path");
+  apply_injection_ref(*ref, inj.tag, t);
+}
+
+std::optional<RouteRef> Engine::intern_route(const Route& route) {
+  if (!config_.validate_routes) return routes_.intern(route);
+  if (const RouteRef known = routes_.find(route); !known.empty())
+    return known;
+  if (!graph_.is_simple_path(route)) return std::nullopt;
+  return routes_.intern(route);
 }
 
 void Engine::apply_injection_ref(RouteRef route, std::uint64_t tag, Time t) {
@@ -391,11 +392,9 @@ void Engine::compile_block(Adversary& adv, Time first, Time count) {
     for (Reroute& rr : adv_step_.reroutes)
       schedule_.add_reroute(std::move(rr));
     for (const Injection& inj : adv_step_.injections) {
-      if (config_.validate_routes) {
-        AQT_REQUIRE(graph_.is_simple_path(inj.route),
-                    "injected route is not a simple path");
-      }
-      schedule_.add_injection(routes_.intern(inj.route), inj.tag);
+      const std::optional<RouteRef> ref = intern_route(inj.route);
+      AQT_REQUIRE(ref.has_value(), "injected route is not a simple path");
+      schedule_.add_injection(*ref, inj.tag);
     }
   }
 }

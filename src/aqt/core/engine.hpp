@@ -217,6 +217,11 @@ class Engine {
   void absorb(PacketId id, Time t);
   void apply_reroute(const Reroute& rr);
   void apply_injection(const Injection& inj, Time t);
+  /// Interns `route`.  With EngineConfig::validate_routes set, a route the
+  /// table does not hold yet is checked first, so each distinct route is
+  /// validated once; nullopt when it is not a simple path, which then never
+  /// enters the table.
+  std::optional<RouteRef> intern_route(const Route& route);
   /// Injection of an already-interned, already-validated route.
   void apply_injection_ref(RouteRef route, std::uint64_t tag, Time t);
 

@@ -1,18 +1,28 @@
 #include "aqt/core/graph.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <sstream>
-#include <unordered_set>
 
 #include "aqt/util/check.hpp"
 
 namespace aqt {
 
+void Graph::reserve(std::size_t nodes, std::size_t edges) {
+  nodes_.reserve(nodes);
+  out_.reserve(nodes);
+  in_.reserve(nodes);
+  node_by_name_.reserve(nodes);
+  edges_.reserve(edges);
+  edge_by_name_.reserve(edges);
+}
+
 NodeId Graph::add_node(std::string name) {
   AQT_REQUIRE(!name.empty(), "node name must be non-empty");
-  AQT_REQUIRE(!node_by_name_.count(name), "duplicate node name: " << name);
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  node_by_name_.emplace(name, id);
+  AQT_REQUIRE(node_by_name_.try_emplace(name, id).second,
+              "duplicate node name: " << name);
   nodes_.push_back(std::move(name));
   out_.emplace_back();
   in_.emplace_back();
@@ -24,9 +34,9 @@ EdgeId Graph::add_edge(NodeId tail, NodeId head, std::string name) {
               "edge endpoints out of range");
   AQT_REQUIRE(tail != head, "self-loop edges are not allowed: " << name);
   AQT_REQUIRE(!name.empty(), "edge name must be non-empty");
-  AQT_REQUIRE(!edge_by_name_.count(name), "duplicate edge name: " << name);
   const EdgeId id = static_cast<EdgeId>(edges_.size());
-  edge_by_name_.emplace(name, id);
+  AQT_REQUIRE(edge_by_name_.try_emplace(name, id).second,
+              "duplicate edge name: " << name);
   edges_.push_back(Edge{tail, head, std::move(name)});
   out_[tail].push_back(id);
   in_[head].push_back(id);
@@ -91,14 +101,42 @@ bool Graph::is_path(const Route& route) const {
   return true;
 }
 
+namespace {
+
+/// Marks each node of a contiguous route in `seen` (one bit per node,
+/// cleared by the caller); false on the first node visited twice.
+bool visits_distinct(const std::vector<Graph::Edge>& edges,
+                     const Route& route, std::uint64_t* seen) {
+  const auto mark = [seen](NodeId v) {
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    if ((seen[v / 64] & bit) != 0) return false;
+    seen[v / 64] |= bit;
+    return true;
+  };
+  if (!mark(edges[route.front()].tail)) return false;
+  for (const EdgeId e : route)
+    if (!mark(edges[e].head)) return false;
+  return true;
+}
+
+}  // namespace
+
 bool Graph::is_simple_path(const Route& route) const {
   if (!is_path(route)) return false;
-  std::unordered_set<NodeId> seen;
-  seen.insert(edges_[route.front()].tail);
-  for (EdgeId e : route) {
-    if (!seen.insert(edges_[e].head).second) return false;
+  // A simple path of k edges visits k + 1 distinct nodes.
+  if (route.size() >= nodes_.size()) return false;
+  // Graphs up to kStackWords * 64 = 32768 nodes get a bitmap on the stack,
+  // larger ones a heap bitmap.  Nothing is shared, so concurrent calls on
+  // one graph are safe.
+  constexpr std::size_t kStackWords = 512;
+  const std::size_t words = (nodes_.size() + 63) / 64;
+  if (words <= kStackWords) {
+    std::array<std::uint64_t, kStackWords> seen;
+    std::fill_n(seen.begin(), words, 0);
+    return visits_distinct(edges_, route, seen.data());
   }
-  return true;
+  std::vector<std::uint64_t> seen(words, 0);
+  return visits_distinct(edges_, route, seen.data());
 }
 
 std::size_t Graph::max_in_degree() const {

@@ -28,6 +28,10 @@ class Graph {
 
   Graph() = default;
 
+  /// Reserves room for `nodes` nodes and `edges` edges; builders that know
+  /// their counts up front call it before adding anything.
+  void reserve(std::size_t nodes, std::size_t edges);
+
   /// Adds a node; names must be unique and non-empty.
   NodeId add_node(std::string name);
 
@@ -62,7 +66,8 @@ class Graph {
   [[nodiscard]] bool is_path(const Route& route) const;
 
   /// True iff `route` is a *simple* directed path: contiguous and no node is
-  /// visited twice (paper §2 requires simple routes).
+  /// visited twice (paper §2 requires simple routes).  Allocation-free on
+  /// graphs of up to 32768 nodes, and safe to call concurrently.
   [[nodiscard]] bool is_simple_path(const Route& route) const;
 
   /// Maximum in-degree over nodes (the alpha of Diaz et al.'s bound).

@@ -22,17 +22,30 @@ std::uint64_t hash_route(RouteSpan route) {
   return h;
 }
 
-}  // namespace
-
-RouteRef RouteTable::intern(RouteSpan route) {
-  if (route.empty()) return RouteRef{};
-  const std::uint64_t h = hash_route(route);
-  std::vector<RouteRef>& bucket = dedup_[h];
+/// The ref in `bucket` with `route`'s contents, or null.
+const RouteRef* match(const std::vector<RouteRef>& bucket, RouteSpan route) {
   for (const RouteRef& ref : bucket) {
     if (ref.len == route.size() &&
         std::equal(ref.begin(), ref.end(), route.begin()))
-      return ref;
+      return &ref;
   }
+  return nullptr;
+}
+
+}  // namespace
+
+RouteRef RouteTable::find(RouteSpan route) const {
+  if (route.empty()) return RouteRef{};
+  const auto it = dedup_.find(hash_route(route));
+  if (it == dedup_.end()) return RouteRef{};
+  const RouteRef* ref = match(it->second, route);
+  return ref != nullptr ? *ref : RouteRef{};
+}
+
+RouteRef RouteTable::intern(RouteSpan route) {
+  if (route.empty()) return RouteRef{};
+  std::vector<RouteRef>& bucket = dedup_[hash_route(route)];
+  if (const RouteRef* known = match(bucket, route)) return *known;
   const RouteRef ref{append(route), static_cast<std::uint32_t>(route.size())};
   bucket.push_back(ref);
   ++count_;

@@ -37,6 +37,10 @@ class RouteTable {
   /// null ref.
   RouteRef intern(RouteSpan route);
 
+  /// The interned ref with `route`'s contents, or a null ref when `route`
+  /// is empty or not interned yet.  Never adds an entry.
+  [[nodiscard]] RouteRef find(RouteSpan route) const;
+
   /// Distinct routes interned so far.
   [[nodiscard]] std::uint64_t route_count() const { return count_; }
 

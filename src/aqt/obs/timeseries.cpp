@@ -1,5 +1,6 @@
 #include "aqt/obs/timeseries.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "aqt/core/engine.hpp"
@@ -8,6 +9,14 @@
 #include "aqt/util/json.hpp"
 
 namespace aqt::obs {
+namespace {
+
+std::string edge_label(const Graph* graph, EdgeId e) {
+  if (graph != nullptr) return graph->edge(e).name;
+  return "edge_" + std::to_string(e);
+}
+
+}  // namespace
 
 TimeseriesRecorder::TimeseriesRecorder(TimeseriesConfig config,
                                        const Graph* graph)
@@ -20,6 +29,12 @@ TimeseriesRecorder::TimeseriesRecorder(TimeseriesConfig config,
     for (const EdgeId e : config_.watched)
       AQT_REQUIRE(e < graph_->edge_count(),
                   "watched edge id out of range: " << e);
+  // Each watched edge is one column and one JSONL key, so a repeat would
+  // write a duplicate key.
+  for (auto it = config_.watched.begin(); it != config_.watched.end(); ++it)
+    AQT_REQUIRE(std::find(config_.watched.begin(), it, *it) == it,
+                "watched edge " << edge_label(graph_, *it)
+                                << " is listed twice");
   rows_.reserve(config_.capacity);
   depths_.reserve(config_.capacity * config_.watched.size());
 }
@@ -82,15 +97,6 @@ std::vector<std::uint64_t> TimeseriesRecorder::watched_depths(
   return {depths_.begin() + static_cast<std::ptrdiff_t>(i * watched),
           depths_.begin() + static_cast<std::ptrdiff_t>((i + 1) * watched)};
 }
-
-namespace {
-
-std::string edge_label(const Graph* graph, EdgeId e) {
-  if (graph != nullptr) return graph->edge(e).name;
-  return "edge_" + std::to_string(e);
-}
-
-}  // namespace
 
 std::vector<std::string> TimeseriesRecorder::headers() const {
   std::vector<std::string> out = {"t",       "in_flight",    "injected",

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "aqt/core/checkpoint.hpp"
@@ -17,16 +17,6 @@
 
 namespace aqt {
 namespace {
-
-/// Swallows bytes: trace-hash runs only need the streaming content hash,
-/// so the trace itself goes into /dev/null-equivalent storage.
-class NullBuf final : public std::streambuf {
- protected:
-  int overflow(int c) override { return c; }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    return n;
-  }
-};
 
 /// True when a stop was requested through RunControls::cancel.
 bool cancel_requested(const RunControls& rc) {
@@ -100,14 +90,14 @@ void run_cell(const RunSpec& spec, RunResult& result) {
   if (spec.artifacts.growth && ec.series_stride == 0)
     ec.series_stride = std::max<Time>(1, spec.steps / 512);
 
-  NullBuf null_buf;
-  std::ostream null_os(&null_buf);
+  // Trace-hash runs keep only the streaming content hash: the writer is
+  // hash-only.
   std::optional<RunTraceWriter> writer;
   if (spec.artifacts.trace_hash) {
     if (resuming) {
       // Continuation writer: no header, hash seeded from the interrupted
       // segment, so finish() yields the uninterrupted run's hash.
-      writer.emplace(null_os, cp.trace);
+      writer.emplace(cp.trace);
     } else {
       RunTraceMeta meta;
       meta.protocol = spec.protocol;
@@ -118,7 +108,7 @@ void run_cell(const RunSpec& spec, RunResult& result) {
       } else if (spec.audit_r.has_value()) {
         meta.rate_r = *spec.audit_r;
       }
-      writer.emplace(null_os, graph, meta);
+      writer.emplace(graph, meta);
     }
     ec.sinks.trace = &*writer;
   }

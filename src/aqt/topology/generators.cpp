@@ -1,5 +1,7 @@
 #include "aqt/topology/generators.hpp"
 
+#include <charconv>
+#include <cstring>
 #include <string>
 
 #include "aqt/util/check.hpp"
@@ -7,15 +9,32 @@
 namespace aqt {
 namespace {
 
-std::string num_name(const char* prefix, std::int64_t i) {
-  return std::string(prefix) + std::to_string(i);
+/// `prefix` followed by the numbers joined with '_' ("v3_4"), formatted in
+/// place so a name costs one allocation at most.
+template <typename... Ints>
+std::string num_name(const char* prefix, Ints... numbers) {
+  char buf[64];
+  const std::size_t len = std::strlen(prefix);
+  std::memcpy(buf, prefix, len);
+  char* p = buf + len;
+  bool first = true;
+  for (const std::int64_t n : {static_cast<std::int64_t>(numbers)...}) {
+    if (!first) *p++ = '_';
+    first = false;
+    p = std::to_chars(p, buf + sizeof buf, n).ptr;
+  }
+  return std::string(buf, p);
 }
+
+/// A count as a size for Graph::reserve.
+std::size_t as_size(std::int64_t n) { return static_cast<std::size_t>(n); }
 
 }  // namespace
 
 Graph make_line(std::int64_t len) {
   AQT_REQUIRE(len >= 1, "line length must be >= 1");
   Graph g;
+  g.reserve(as_size(len) + 1, as_size(len));
   NodeId prev = g.add_node("v0");
   for (std::int64_t i = 1; i <= len; ++i) {
     const NodeId next = g.add_node(num_name("v", i));
@@ -28,6 +47,7 @@ Graph make_line(std::int64_t len) {
 Graph make_ring(std::int64_t len) {
   AQT_REQUIRE(len >= 2, "ring length must be >= 2");
   Graph g;
+  g.reserve(as_size(len), as_size(len));
   for (std::int64_t i = 0; i < len; ++i) g.add_node(num_name("v", i));
   for (std::int64_t i = 0; i < len; ++i) {
     g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % len),
@@ -39,6 +59,7 @@ Graph make_ring(std::int64_t len) {
 Graph make_bidirectional_ring(std::int64_t len) {
   AQT_REQUIRE(len >= 2, "ring length must be >= 2");
   Graph g;
+  g.reserve(as_size(len), 2 * as_size(len));
   for (std::int64_t i = 0; i < len; ++i) g.add_node(num_name("v", i));
   for (std::int64_t i = 0; i < len; ++i) {
     const auto a = static_cast<NodeId>(i);
@@ -52,20 +73,20 @@ Graph make_bidirectional_ring(std::int64_t len) {
 Graph make_grid(std::int64_t rows, std::int64_t cols) {
   AQT_REQUIRE(rows >= 1 && cols >= 1, "grid dimensions must be >= 1");
   Graph g;
+  g.reserve(as_size(rows * cols),
+            as_size(rows * (cols - 1) + (rows - 1) * cols));
   for (std::int64_t r = 0; r < rows; ++r)
     for (std::int64_t c = 0; c < cols; ++c)
-      g.add_node("v" + std::to_string(r) + "_" + std::to_string(c));
+      g.add_node(num_name("v", r, c));
   const auto id = [&](std::int64_t r, std::int64_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t c = 0; c < cols; ++c) {
       if (c + 1 < cols)
-        g.add_edge(id(r, c), id(r, c + 1),
-                   "h" + std::to_string(r) + "_" + std::to_string(c));
+        g.add_edge(id(r, c), id(r, c + 1), num_name("h", r, c));
       if (r + 1 < rows)
-        g.add_edge(id(r, c), id(r + 1, c),
-                   "d" + std::to_string(r) + "_" + std::to_string(c));
+        g.add_edge(id(r, c), id(r + 1, c), num_name("d", r, c));
     }
   }
   return g;
@@ -97,6 +118,7 @@ Graph make_random_dag(std::int64_t nodes, double p, Rng& rng) {
   AQT_REQUIRE(nodes >= 2, "random DAG needs >= 2 nodes");
   AQT_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
   Graph g;
+  g.reserve(as_size(nodes), as_size(nodes - 1));
   for (std::int64_t i = 0; i < nodes; ++i) g.add_node(num_name("v", i));
   std::int64_t edge_idx = 0;
   for (std::int64_t i = 0; i + 1 < nodes; ++i) {
@@ -116,12 +138,13 @@ Graph make_hypercube(std::int64_t dim) {
   AQT_REQUIRE(dim >= 1 && dim <= 20, "hypercube dimension out of range");
   Graph g;
   const std::int64_t n = std::int64_t{1} << dim;
+  g.reserve(as_size(n), as_size(n * dim));
   for (std::int64_t v = 0; v < n; ++v) g.add_node(num_name("v", v));
   for (std::int64_t v = 0; v < n; ++v) {
     for (std::int64_t b = 0; b < dim; ++b) {
       const std::int64_t u = v ^ (std::int64_t{1} << b);
       g.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(u),
-                 "h" + std::to_string(v) + "_" + std::to_string(b));
+                 num_name("h", v, b));
     }
   }
   return g;
@@ -130,19 +153,18 @@ Graph make_hypercube(std::int64_t dim) {
 Graph make_torus(std::int64_t rows, std::int64_t cols) {
   AQT_REQUIRE(rows >= 2 && cols >= 2, "torus dimensions must be >= 2");
   Graph g;
+  g.reserve(as_size(rows * cols), as_size(2 * rows * cols));
   for (std::int64_t r = 0; r < rows; ++r)
     for (std::int64_t c = 0; c < cols; ++c)
-      g.add_node("v" + std::to_string(r) + "_" + std::to_string(c));
+      g.add_node(num_name("v", r, c));
   const auto id = [&](std::int64_t r, std::int64_t c) {
     return static_cast<NodeId>(((r + rows) % rows) * cols +
                                ((c + cols) % cols));
   };
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t c = 0; c < cols; ++c) {
-      g.add_edge(id(r, c), id(r, c + 1),
-                 "h" + std::to_string(r) + "_" + std::to_string(c));
-      g.add_edge(id(r, c), id(r + 1, c),
-                 "d" + std::to_string(r) + "_" + std::to_string(c));
+      g.add_edge(id(r, c), id(r, c + 1), num_name("h", r, c));
+      g.add_edge(id(r, c), id(r + 1, c), num_name("d", r, c));
     }
   }
   return g;
@@ -151,6 +173,7 @@ Graph make_torus(std::int64_t rows, std::int64_t cols) {
 Graph make_parallel_edges(std::int64_t count) {
   AQT_REQUIRE(count >= 1, "need >= 1 parallel edges");
   Graph g;
+  g.reserve(2, as_size(count));
   const NodeId a = g.add_node("a");
   const NodeId b = g.add_node("b");
   for (std::int64_t i = 0; i < count; ++i)

@@ -2,18 +2,48 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <ostream>
 
 #include "aqt/util/check.hpp"
 
 namespace aqt {
 namespace {
 
-std::string format_edges(RouteSpan edges) {
-  std::ostringstream os;
-  for (const EdgeId e : edges) os << ' ' << e;
-  return os.str();
+// Record lines are formatted in place: a line with at most three numeric
+// fields and a route of n edges fits in kFixedChars + n * kEdgeChars bytes
+// ('\n' included).
+constexpr std::size_t kNumChars = 20;  ///< UINT64_MAX, INT64_MIN
+constexpr std::size_t kFixedChars = 4 + 3 * (kNumChars + 1);
+constexpr std::size_t kEdgeChars = 11;  ///< ' ' + UINT32_MAX
+
+template <typename Int>
+char* put_num(char* p, Int value) {
+  return std::to_chars(p, p + kNumChars, value).ptr;
+}
+
+/// "<a> <b>"
+template <typename A, typename B>
+char* put_pair(char* p, A a, B b) {
+  p = put_num(p, a);
+  *p++ = ' ';
+  return put_num(p, b);
+}
+
+/// "<kind> " — every record starts with one letter and a space.
+char* put_kind(char* p, char kind) {
+  p[0] = kind;
+  p[1] = ' ';
+  return p + 2;
+}
+
+char* put_edges(char* p, RouteSpan edges) {
+  for (const EdgeId e : edges) {
+    *p++ = ' ';
+    p = put_num(p, e);
+  }
+  return p;
 }
 
 /// Whitespace-splits one line into tokens; the parsing primitive.  Numeric
@@ -64,10 +94,22 @@ class LineTokens {
 
 RunTraceWriter::RunTraceWriter(std::ostream& os, const Graph& graph,
                                const RunTraceMeta& meta)
-    : os_(os) {
-  std::ostringstream hdr;
-  hdr << "aqt-run-trace " << kRunTraceVersion;
-  line(hdr.str());
+    : RunTraceWriter(&os, graph, meta) {}
+
+RunTraceWriter::RunTraceWriter(const Graph& graph, const RunTraceMeta& meta)
+    : RunTraceWriter(nullptr, graph, meta) {}
+
+RunTraceWriter::RunTraceWriter(std::ostream& os,
+                               const TraceResumeState& state)
+    : RunTraceWriter(&os, state) {}
+
+RunTraceWriter::RunTraceWriter(const TraceResumeState& state)
+    : RunTraceWriter(nullptr, state) {}
+
+RunTraceWriter::RunTraceWriter(std::ostream* os, const Graph& graph,
+                               const RunTraceMeta& meta)
+    : os_(os), buf_(kFixedChars) {
+  line("aqt-run-trace " + std::to_string(kRunTraceVersion));
   line("protocol " + meta.protocol);
   line("seed " + std::to_string(meta.seed));
   line("digest " +
@@ -90,64 +132,87 @@ RunTraceWriter::RunTraceWriter(std::ostream& os, const Graph& graph,
   line("begin");
 }
 
-RunTraceWriter::RunTraceWriter(std::ostream& os,
+RunTraceWriter::RunTraceWriter(std::ostream* os,
                                const TraceResumeState& state)
-    : os_(os), hash_(state.hash_state), last_step_(state.last_step) {
+    : os_(os),
+      buf_(kFixedChars),
+      hash_(state.hash_state),
+      last_step_(state.last_step) {
   // A continuation segment picks up after a fully recorded step, so the
   // P-records-precede-step-1 window is already closed.
   begun_ = true;
 }
 
-void RunTraceWriter::line(const std::string& text) {
+void RunTraceWriter::line(std::string_view text) {
   AQT_CHECK(!finished_, "run-trace record after finish()");
   hash_.update(text);
   hash_.update("\n");
-  os_ << text << '\n';
+  if (os_ != nullptr) *os_ << text << '\n';
+}
+
+char* RunTraceWriter::line_buffer(std::size_t bytes) {
+  AQT_CHECK(!finished_, "run-trace record after finish()");
+  if (buf_.size() < bytes) buf_.resize(bytes);
+  return buf_.data();
+}
+
+void RunTraceWriter::emit(char* end) {
+  *end++ = '\n';
+  const auto bytes = static_cast<std::size_t>(end - buf_.data());
+  hash_.update(std::string_view(buf_.data(), bytes));
+  if (os_ != nullptr)
+    os_->write(buf_.data(), static_cast<std::streamsize>(bytes));
 }
 
 void RunTraceWriter::record_initial(std::uint64_t ordinal, std::uint64_t tag,
                                     RouteSpan route) {
   AQT_CHECK(!begun_, "initial packets must precede step 1 in the trace");
-  line("P " + std::to_string(ordinal) + " " + std::to_string(tag) +
-       format_edges(route));
+  char* p = line_buffer(kFixedChars + kEdgeChars * route.size());
+  emit(put_edges(put_pair(put_kind(p, 'P'), ordinal, tag), route));
 }
 
 void RunTraceWriter::begin_step(Time t) {
   begun_ = true;
   last_step_ = t;
-  line("T " + std::to_string(t));
+  emit(put_num(put_kind(line_buffer(kFixedChars), 'T'), t));
 }
 
 void RunTraceWriter::record_send(EdgeId e, std::uint64_t ordinal) {
-  line("S " + std::to_string(e) + " " + std::to_string(ordinal));
+  emit(put_pair(put_kind(line_buffer(kFixedChars), 'S'), e, ordinal));
 }
 
 void RunTraceWriter::record_absorb(std::uint64_t ordinal) {
-  line("A " + std::to_string(ordinal));
+  emit(put_num(put_kind(line_buffer(kFixedChars), 'A'), ordinal));
 }
 
 void RunTraceWriter::record_reroute(std::uint64_t ordinal,
                                     RouteSpan new_suffix) {
-  line("R " + std::to_string(ordinal) + format_edges(new_suffix));
+  char* p = line_buffer(kFixedChars + kEdgeChars * new_suffix.size());
+  emit(put_edges(put_num(put_kind(p, 'R'), ordinal), new_suffix));
 }
 
 void RunTraceWriter::record_inject(std::uint64_t ordinal, std::uint64_t tag,
                                    RouteSpan route) {
-  line("J " + std::to_string(ordinal) + " " + std::to_string(tag) +
-       format_edges(route));
+  char* p = line_buffer(kFixedChars + kEdgeChars * route.size());
+  emit(put_edges(put_pair(put_kind(p, 'J'), ordinal, tag), route));
 }
 
 void RunTraceWriter::record_queue_depth(EdgeId e, std::size_t depth) {
-  line("Q " + std::to_string(e) + " " + std::to_string(depth));
+  emit(put_pair(put_kind(line_buffer(kFixedChars), 'Q'), e, depth));
 }
 
 void RunTraceWriter::finish(std::uint64_t injected, std::uint64_t absorbed) {
   AQT_CHECK(!finished_, "finish() called twice");
-  line("end " + std::to_string(last_step_) + " " + std::to_string(injected) +
-       " " + std::to_string(absorbed));
+  char* p = line_buffer(kFixedChars);
+  std::memcpy(p, "end ", 4);
+  p = put_pair(p + 4, last_step_, injected);
+  *p++ = ' ';
+  emit(put_num(p, absorbed));
   // The hash line itself is excluded from the hash.
-  os_ << "hash " << hash_hex(hash_.value()) << '\n';
-  os_.flush();
+  if (os_ != nullptr) {
+    *os_ << "hash " << hash_hex(hash_.value()) << '\n';
+    os_->flush();
+  }
   finished_ = true;
 }
 

@@ -17,6 +17,13 @@
 // determinism check of aqt-sim --replay-twice), and any post-hoc tampering
 // breaks the hash.
 //
+// Records are formatted with std::to_chars into one reusable buffer, which
+// is hashed and, when the writer has an ostream, written out in one call.
+// A writer built without an ostream is hash-only: it produces the same
+// content hash from the same line bytes and writes nothing.  Runs that keep
+// only the hash (RunArtifacts::trace_hash, the aqt-sim --replay-twice runs
+// that write no file) use that mode.
+//
 // Line grammar (text, '\n'-terminated, '#' comments are not allowed — the
 // stream is evidence, not a document):
 //
@@ -50,6 +57,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aqt/core/graph.hpp"
@@ -82,13 +90,16 @@ struct TraceResumeState {
   Time last_step = 0;            ///< Last fully recorded step.
 };
 
-/// Streams the evidence format to an ostream, hashing every line.  Plug
-/// into EngineConfig::sinks.trace; call finish() once after the run.
+/// Streams the evidence format to an ostream, hashing every line, or only
+/// hashes it (the constructors without an ostream).  Plug into
+/// EngineConfig::sinks.trace; call finish() once after the run.
 class RunTraceWriter final : public RunTraceSink {
  public:
   /// Writes the header (including the graph tables) immediately.
   RunTraceWriter(std::ostream& os, const Graph& graph,
                  const RunTraceMeta& meta);
+  /// Hash-only: the same content hash as the ostream writer, no bytes out.
+  RunTraceWriter(const Graph& graph, const RunTraceMeta& meta);
 
   /// Continuation writer for a resumed run segment: emits no header and no
   /// initial-packet records (the interrupted segment already did), seeds
@@ -96,6 +107,8 @@ class RunTraceWriter final : public RunTraceSink {
   /// state.last_step + 1 on.  finish() then closes the *logical* run, so
   /// content_hash() equals the uninterrupted run's hash byte for byte.
   RunTraceWriter(std::ostream& os, const TraceResumeState& state);
+  /// Hash-only continuation writer.
+  explicit RunTraceWriter(const TraceResumeState& state);
 
   /// The continuation state at the current step boundary (see
   /// TraceResumeState).  Meaningless mid-step; callers cut only between
@@ -122,9 +135,20 @@ class RunTraceWriter final : public RunTraceSink {
   [[nodiscard]] bool finished() const { return finished_; }
 
  private:
-  void line(const std::string& text);
+  RunTraceWriter(std::ostream* os, const Graph& graph,
+                 const RunTraceMeta& meta);
+  RunTraceWriter(std::ostream* os, const TraceResumeState& state);
 
-  std::ostream& os_;
+  /// A buffer of at least `bytes` chars for the next line.
+  char* line_buffer(std::size_t bytes);
+  /// Hashes (and writes, with an ostream) the line line_buffer() returned,
+  /// ending at `end`, which must leave room for the '\n' emit() appends.
+  void emit(char* end);
+  /// Cold path (header and footer).
+  void line(std::string_view text);
+
+  std::ostream* os_;  ///< Null for a hash-only writer.
+  std::vector<char> buf_;
   Fnv1a hash_;
   Time last_step_ = 0;
   bool begun_ = false;

@@ -1,10 +1,12 @@
 #include "aqt/util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "aqt/util/check.hpp"
 
@@ -271,15 +273,44 @@ class Parser {
       return JsonValue::make_int(v);
     }
     double v = 0.0;
-    try {
-      std::size_t used = 0;
-      v = std::stod(tok, &used);
-      if (used != tok.size()) fail("malformed number");
-    } catch (const std::exception&) {
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports underflow and overflow alike.  Underflow reads as
+      // a signed zero, as strtod rounds it; overflow is an error.
+      if (!magnitude_below_one(tok)) fail("number out of range");
+      v = tok.front() == '-' ? -0.0 : 0.0;
+    } else if (ec != std::errc() || ptr != tok.data() + tok.size()) {
       fail("malformed number");
     }
-    if (!std::isfinite(v)) fail("non-finite number");
     return JsonValue::make_double(v);
+  }
+
+  /// True when the JSON number `tok` (grammar already checked) is below 1
+  /// in magnitude: its first significant digit, scaled by the exponent,
+  /// lies right of the decimal point.
+  static bool magnitude_below_one(std::string_view tok) {
+    if (tok.front() == '-') tok.remove_prefix(1);
+    const std::size_t exp_at = std::min(tok.find_first_of("eE"), tok.size());
+    const std::string_view mantissa = tok.substr(0, exp_at);
+    const std::size_t point = std::min(mantissa.find('.'), mantissa.size());
+    const std::size_t first = mantissa.find_first_not_of("0.");
+    if (first == std::string_view::npos) return true;  // All zeros.
+    // Power of ten of the first significant digit.
+    std::int64_t power = first < point
+                             ? static_cast<std::int64_t>(point - first) - 1
+                             : -static_cast<std::int64_t>(first - point);
+    if (exp_at < tok.size()) {
+      std::string_view digits = tok.substr(exp_at + 1);
+      const bool negative = digits.front() == '-';
+      if (negative || digits.front() == '+') digits.remove_prefix(1);
+      // Saturates: past a million, the exponent's sign alone decides.
+      std::int64_t exponent = 0;
+      for (const char c : digits)
+        exponent = std::min<std::int64_t>(exponent * 10 + (c - '0'), 1000000);
+      power += negative ? -exponent : exponent;
+    }
+    return power < 0;
   }
 
   JsonValue parse_value(std::size_t depth) {

@@ -220,6 +220,31 @@ TEST(Checkpoint, RejectsVersionTwoNamingTheVersion) {
   }
 }
 
+TEST(Checkpoint, RejectsAPacketRouteThatIsNotASimplePath) {
+  // ring:3 has edges 0: v0->v1, 1: v1->v2, 2: v2->v0.  Edit the saved
+  // packet's route into one that revisits v0, and into one with a gap:
+  // every edge id is in range, so only route validation can refuse them,
+  // and a refused route must not reach the route table.
+  const Graph g = make_ring(3);
+  FifoProtocol fifo;
+  Engine eng(g, fifo);
+  eng.add_initial_packet({0, 1});
+  std::stringstream buf;
+  save_checkpoint(eng, buf);
+  const std::string text = buf.str();
+  const std::size_t line = text.find("\np ");
+  ASSERT_NE(line, std::string::npos);
+  const std::size_t route = text.find(" 2 0 1\n", line);
+  ASSERT_NE(route, std::string::npos);
+  for (const char* bad : {" 3 0 1 2\n", " 2 1 0\n"}) {
+    std::string tampered = text;
+    tampered.replace(route, std::string(" 2 0 1\n").size(), bad);
+    std::stringstream in(tampered);
+    Engine target(g, fifo);
+    EXPECT_THROW(load_checkpoint(target, in), PreconditionError) << bad;
+  }
+}
+
 TEST(Checkpoint, FileRoundtripAndMissingFileErrors) {
   const Graph g = make_line(3);
   FifoProtocol fifo;

@@ -159,6 +159,67 @@ TEST_F(EngineTest, RerouteNonSimpleRejected) {
   EXPECT_THROW(eng.step(&adv), PreconditionError);
 }
 
+// The engine validates a route only when the route table does not hold it
+// yet.  These pin that an invalid route is still rejected on first sight,
+// rejected again after a valid route was interned, and never interned.
+
+TEST_F(EngineTest, InvalidPolledInjectionRejectedBeforeAndAfterValidOnes) {
+  const Route gap{line_.edge_by_name("l0"), line_.edge_by_name("l2")};
+  {
+    Engine eng(line_, fifo_);
+    ScriptedAdversary adv;
+    adv.inject_at(1, gap);
+    EXPECT_THROW(eng.step(&adv), PreconditionError);
+    EXPECT_EQ(eng.route_table().route_count(), 0u);
+  }
+  Engine eng(line_, fifo_);
+  ScriptedAdversary adv;
+  adv.inject_at(1, line_route(0, 2));
+  adv.inject_at(2, gap);
+  adv.inject_at(3, gap);
+  eng.step(&adv);
+  EXPECT_EQ(eng.route_table().route_count(), 1u);
+  EXPECT_THROW(eng.step(&adv), PreconditionError);
+  EXPECT_THROW(eng.step(&adv), PreconditionError);
+  EXPECT_EQ(eng.route_table().route_count(), 1u);
+}
+
+TEST_F(EngineTest, InvalidCompiledInjectionRejectedBeforeAndAfterValidOnes) {
+  // ring:3's r0 r1 r2 is contiguous but comes back to v0.
+  const Graph ring = make_ring(3);
+  const Route revisit{0, 1, 2};
+  {
+    Engine eng(ring, fifo_);
+    ScriptedAdversary adv;
+    adv.inject_at(1, revisit);
+    ASSERT_TRUE(adv.is_oblivious());
+    EXPECT_THROW(eng.run(&adv, 4), PreconditionError);
+    EXPECT_EQ(eng.route_table().route_count(), 0u);
+  }
+  Engine eng(ring, fifo_);
+  ScriptedAdversary adv;
+  adv.inject_at(1, Route{0, 1});
+  adv.inject_at(2, Route{0, 1});
+  adv.inject_at(3, revisit);
+  EXPECT_THROW(eng.run(&adv, 4), PreconditionError);
+  EXPECT_EQ(eng.route_table().route_count(), 1u);
+}
+
+TEST_F(EngineTest, RerouteSpliceRevisitingANodeRejectedAfterValidSplice) {
+  // ring:4, r_i = v_i -> v_{i+1}.  The packet starts on r0 r1.
+  const Graph ring = make_ring(4);
+  Engine eng(ring, fifo_);
+  const PacketId id = eng.add_initial_packet(Route{0, 1});
+  ScriptedAdversary adv;
+  adv.reroute_at(1, id, Route{2});  // r0 r1 r2: simple.
+  adv.reroute_at(2, id, Route{3});  // r0 r1 r2 r3: back to v0.
+  eng.step(&adv);
+  EXPECT_EQ(eng.packet(id).route, (Route{0, 1, 2}));
+  const std::uint64_t interned = eng.route_table().route_count();
+  EXPECT_THROW(eng.step(&adv), PreconditionError);
+  EXPECT_EQ(eng.route_table().route_count(), interned);
+}
+
 TEST_F(EngineTest, RerouteRequiresHistoricProtocol) {
   NtgProtocol ntg;  // Not historic.
   Engine eng(line_, ntg);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "aqt/util/check.hpp"
 
 namespace aqt {
@@ -139,6 +141,30 @@ TEST(Graph, SimplePathRejectsNodeRevisit) {
 TEST(Graph, SingleEdgeIsSimplePath) {
   Graph g = diamond();
   EXPECT_TRUE(g.is_simple_path({g.edge_by_name("sa")}));
+}
+
+TEST(Graph, SimplePathOnGraphsPastTheStackBitmap) {
+  // 40000 nodes on a line v0 -> v1 -> ..., plus a back edge v2 -> v0: too
+  // many nodes for the stack bitmap, so every route uses a heap bitmap.
+  constexpr std::uint32_t kNodes = 40000;
+  Graph g;
+  g.reserve(kNodes, kNodes);
+  for (std::uint32_t v = 0; v < kNodes; ++v)
+    g.add_node("v" + std::to_string(v));
+  for (std::uint32_t v = 0; v + 1 < kNodes; ++v)
+    g.add_edge(v, v + 1, "l" + std::to_string(v));
+  const EdgeId back = g.add_edge(2, 0, "back");
+
+  EXPECT_TRUE(g.is_simple_path({0, 1}));
+  EXPECT_TRUE(g.is_simple_path({1, back}));
+  EXPECT_FALSE(g.is_simple_path({0, 1, back}));
+
+  Route along;
+  for (EdgeId e = 0; e < 100; ++e) along.push_back(e);
+  EXPECT_TRUE(g.is_simple_path(along));
+  Route loops;
+  for (int i = 0; i < 30; ++i) loops.insert(loops.end(), {0, 1, back});
+  EXPECT_FALSE(g.is_simple_path(loops));
 }
 
 TEST(Graph, MaxInDegree) {

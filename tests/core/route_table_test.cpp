@@ -31,6 +31,19 @@ TEST(RouteTable, InternReturnsContentEqualRef) {
   EXPECT_EQ(table.route_count(), 1u);
 }
 
+TEST(RouteTable, FindLooksUpWithoutInterning) {
+  RouteTable table;
+  const Route route{EdgeId{2}, EdgeId{7}};
+  EXPECT_TRUE(table.find(route).empty());
+  EXPECT_TRUE(table.find(RouteSpan{}).empty());
+  EXPECT_EQ(table.route_count(), 0u);
+  const RouteRef ref = table.intern(route);
+  EXPECT_EQ(table.find(route).data, ref.data);
+  EXPECT_EQ(table.find(route).len, ref.len);
+  EXPECT_TRUE(table.find(Route{EdgeId{2}}).empty());  // A prefix differs.
+  EXPECT_EQ(table.route_count(), 1u);
+}
+
 TEST(RouteTable, DuplicateContentInternsToSamePointer) {
   RouteTable table;
   const Route a{EdgeId{0}, EdgeId{1}, EdgeId{2}};

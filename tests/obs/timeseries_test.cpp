@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "aqt/adversaries/stochastic.hpp"
 #include "aqt/core/engine.hpp"
@@ -123,6 +124,21 @@ TEST(Timeseries, CsvHeaderMatchesHeaders) {
 TEST(Timeseries, RejectsInvalidConfig) {
   EXPECT_THROW(TimeseriesRecorder(no_wall(0, 64)), PreconditionError);
   EXPECT_THROW(TimeseriesRecorder(no_wall(1, 2)), PreconditionError);
+}
+
+TEST(Timeseries, RejectsAnEdgeWatchedTwice) {
+  // Each watched edge is a JSONL key; a repeat would write it twice.
+  const Graph g = make_grid(3, 3);
+  TimeseriesConfig cfg = no_wall(1, 64);
+  cfg.watched = {g.edge_by_name("h0_0"), g.edge_by_name("d1_1"),
+                 g.edge_by_name("h0_0")};
+  try {
+    TimeseriesRecorder rec(cfg, &g);
+    FAIL() << "a repeated watched edge was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("h0_0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StepSampleFanoutTest, AsSinkCollapsesTrivialCases) {

@@ -2,7 +2,10 @@
 // parsing of untrusted input, canonical byte-stable emission.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "aqt/util/json.hpp"
@@ -93,6 +96,26 @@ TEST(ServeJson, NegativeZeroWritesAsZeroSoWritingIsAFixedPoint) {
   const std::string once = write_json(parse_json("[-0.0,0.5,-0,1e2]", "t"));
   EXPECT_EQ(once, "[0,0.5,0,100]");
   EXPECT_EQ(write_json(parse_json(once, "t")), once);
+}
+
+TEST(ServeJson, SubnormalsReadBackAndUnderflowReadsAsZero) {
+  // The smallest subnormal as the metrics exporter's "%.10g" spells it.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  char spelled[64];
+  std::snprintf(spelled, sizeof spelled, "%.10g", tiny);
+  ASSERT_STREQ(spelled, "4.940656458e-324");
+  EXPECT_EQ(parse_json(spelled, "t").as_double(), tiny);
+  EXPECT_EQ(parse_json("2.2250738585072014e-308", "t").as_double(),
+            std::numeric_limits<double>::min());
+
+  const JsonValue under = parse_json("[1e-400, -1e-400, 0.0001e-320]", "t");
+  EXPECT_EQ(under.items()[0].as_double(), 0.0);
+  EXPECT_EQ(under.items()[1].as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(under.items()[1].as_double()));
+  EXPECT_EQ(under.items()[2].as_double(), 0.0);
+
+  for (const char* over : {"1e999", "-1e999", "0.1e310", "1000e306"})
+    EXPECT_THROW(parse_json(over, "t"), PreconditionError) << over;
 }
 
 TEST(ServeJson, IntegersSurviveExactly) {

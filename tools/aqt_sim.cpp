@@ -64,16 +64,6 @@ namespace {
 
 using namespace aqt;
 
-/// Swallows bytes: the determinism re-run only needs the content hash, so
-/// its trace is streamed into /dev/null-equivalent storage.
-class NullBuf final : public std::streambuf {
- protected:
-  int overflow(int c) override { return c; }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    return n;
-  }
-};
-
 /// --batch <dir>: run every .aqts scenario and every .json RunRequest in
 /// the directory through the deterministic run-pool, honoring --jobs.  The
 /// summary table is in sorted filename order (submission order), so output
@@ -315,11 +305,12 @@ static int run_main(int argc, char** argv) {
     return nullptr;
   };
 
-  // One complete simulation.  `run_os`, when set, receives the run trace;
-  // the returned value is its content hash (0 without recording).  Metrics
-  // reporting and all side outputs happen only on the primary run.
+  // One complete simulation.  With `traced` set the run is recorded and
+  // the returned value is its trace's content hash (0 otherwise); `run_os`,
+  // when set, receives the trace bytes, else the writer is hash-only.
+  // Metrics reporting and all side outputs happen only on the primary run.
   bool audit_ok = true;
-  auto run_once = [&](std::ostream* run_os,
+  auto run_once = [&](bool traced, std::ostream* run_os,
                       bool primary) -> std::uint64_t {
     auto protocol = make_protocol(protocol_name, seed);
     EngineConfig ec;
@@ -328,7 +319,10 @@ static int run_main(int argc, char** argv) {
                            ? 0
                            : std::max<Time>(1, cli.get_int("steps") / 512);
     std::optional<RunTraceWriter> writer;
-    if (run_os != nullptr) writer.emplace(*run_os, topo.graph, meta);
+    if (run_os != nullptr)
+      writer.emplace(*run_os, topo.graph, meta);
+    else if (traced)
+      writer.emplace(topo.graph, meta);
     ec.sinks.trace = writer ? &*writer : nullptr;
 
     // Observability (primary run only, so the determinism re-run measures
@@ -544,24 +538,20 @@ static int run_main(int argc, char** argv) {
   };
 
   // Primary run: to the requested file, or (when only the determinism
-  // check wants a trace) into a byte sink.
+  // check wants a trace) hash-only.
   std::uint64_t first_hash = 0;
-  NullBuf null_buf;
   if (!record_run.empty()) {
     std::ofstream out(record_run);
     AQT_REQUIRE(static_cast<bool>(out), "cannot open " << record_run);
-    first_hash = run_once(&out, /*primary=*/true);
+    first_hash = run_once(/*traced=*/true, &out, /*primary=*/true);
     std::cout << "run trace written to " << record_run << "\n";
-  } else if (replay_twice) {
-    std::ostream null_os(&null_buf);
-    first_hash = run_once(&null_os, /*primary=*/true);
   } else {
-    run_once(nullptr, /*primary=*/true);
+    first_hash = run_once(replay_twice, nullptr, /*primary=*/true);
   }
 
   if (replay_twice) {
-    std::ostream null_os(&null_buf);
-    const std::uint64_t second_hash = run_once(&null_os, /*primary=*/false);
+    const std::uint64_t second_hash =
+        run_once(/*traced=*/true, nullptr, /*primary=*/false);
     if (first_hash != second_hash) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: replay from seed %llu diverged "
