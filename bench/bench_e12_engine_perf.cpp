@@ -53,6 +53,7 @@
 #include "aqt/obs/tracing.hpp"
 #include "aqt/topology/gadget.hpp"
 #include "aqt/topology/generators.hpp"
+#include "aqt/util/check.hpp"
 
 namespace {
 
@@ -336,23 +337,20 @@ void write_perf_json(const std::string& path, unsigned perf_jobs,
   }
 
   // aqt-audit selfhost datapoint: wall-clock of the full repo self-audit
-  // (the same parallel per-file phase + serial cross-TU finalize the CI
-  // audit-selfhost step runs), pinned to 4 workers so the number is
-  // comparable across runners.  CI gates this below 10 seconds.
+  // (the same per-file audit on the run-pool that the CI audit-selfhost
+  // step runs), pinned to 4 workers so the number is comparable across
+  // runners.  CI gates this below 10 seconds.
   {
     const std::string root(AQT_SOURCE_DIR);
     const std::vector<std::string> files = audit::collect_audit_files(
         {root + "/src", root + "/tools", root + "/tests"});
     const auto begin = std::chrono::steady_clock::now();
-    std::vector<audit::AuditUnit> units(files.size());
-    parallel_for_each(
-        files.size(), 4,
-        [&](std::size_t i) {  // aqt-audit: allow(AUD010) -- joins on return
-          // aqt-audit: allow(AUD008) -- slot i has exactly one writer
-          units[i] = audit::audit_unit_file(files[i]);
+    std::vector<audit::AuditReport> reports(files.size());
+    const std::vector<std::string> errors =
+        parallel_for_each(files.size(), 4, [&](std::size_t i) {
+          reports[i] = audit::audit_file(files[i]);
         });
-    const std::vector<audit::AuditReport> reports =
-        audit::finalize_project(std::move(units));
+    for (const std::string& err : errors) AQT_REQUIRE(err.empty(), "" << err);
     const auto end = std::chrono::steady_clock::now();
     const double selfhost_secs =
         std::chrono::duration<double>(end - begin).count();
@@ -360,8 +358,8 @@ void write_perf_json(const std::string& path, unsigned perf_jobs,
     for (const audit::AuditReport& r : reports) findings += r.findings.size();
     registry
         .gauge("aqt_audit_selfhost_seconds",
-               "Wall-clock of the full repo self-audit (parallel unit "
-               "phase on 4 workers + serial finalize)")
+               "Wall-clock of the full repo self-audit (per-file audit "
+               "on 4 workers)")
         .set(selfhost_secs);
     registry
         .gauge("aqt_audit_selfhost_files",

@@ -14,11 +14,9 @@ mkdir -p out out/metrics
 
 ./build/tools/aqt-lint examples/scenarios/*.aqts | tee out/lint_output.txt
 
-# Static determinism/concurrency audit of the sources themselves
-# (AUD001..AUD007); any finding not absolved by the checked-in baseline
-# aborts the script via the ERR trap above.
-./build/tools/aqt-audit --baseline=tests/audit/baseline.txt \
-  --metrics-out out/metrics/audit.metrics.json \
+# Static determinism audit of the sources themselves (AUD001..AUD007);
+# any finding aborts the script via the ERR trap above.
+./build/tools/aqt-audit --metrics-out out/metrics/audit.metrics.json \
   src tools tests | tee out/audit_output.txt
 
 # Record every example scenario (with the --replay-twice true determinism check),

@@ -1,4 +1,4 @@
-// Determinism & concurrency static analysis — the aqt-audit core.
+// Determinism static analysis — the aqt-audit core.
 //
 // The runner's byte-identical-for-any---jobs contract and the trace-hash
 // evidence chain are enforced *dynamically* (aqt-verify --replay-twice,
@@ -6,10 +6,8 @@
 // only catches the hazards a test happens to execute: a single unseeded
 // RNG, wall-clock read, or unordered-container iteration feeding an
 // output path breaks replayability silently until some seed trips it.
-// This module encodes the project's determinism and concurrency rules as
-// *source-level* checks over the repo's own files, in the spirit of the
-// paper's program of replacing empirical confidence with checkable
-// certificates:
+// This module encodes the project's determinism rules as *source-level*
+// token checks over the repo's own files:
 //
 //   AUD001  banned nondeterminism APIs (rand, std::random_device,
 //           time()/clock(), std::chrono::system_clock, argless std engine
@@ -28,27 +26,13 @@
 //           runner/obs/tools);
 //   AUD007  malformed audit directives (the justification comment
 //           grammar below is itself checked), and allow() clauses that
-//           suppress nothing (unused suppressions rot);
-//   AUD008  shared mutable state written inside a worker/thread lambda
-//           with an empty lockset (the Eraser-style race pass, built on
-//           the symbol/flow layer in symbols.hpp/flow.hpp);
-//   AUD009  lock-order inconsistency: two mutexes acquired in both
-//           orders anywhere in the cross-TU call graph;
-//   AUD010  by-reference or pointer capture escaping into a deferred
-//           callable (std::thread, pool submission, stored
-//           std::function) — a lifetime hazard even when synchronized;
-//   AUD011  call-graph layering: a function whose transitive callees
-//           reach a layer the calling file must not depend on
-//           (supersedes AUD006's include-only view, which remains as
-//           the fast pre-check);
-//   AUD012  container mutation while an iterator/range-for over the
-//           same container is live (iterator invalidation).
+//           suppress nothing (unused suppressions rot).
 //
-// AUD001–AUD008, AUD010, and AUD012 are per-file; AUD009 and AUD011
-// need every file's symbols at once, so the project entry points below
-// (audit_unit + finalize_project) split the work into a parallel
-// per-file phase and a serial cross-TU phase — the tool stays
-// byte-identical for any --jobs.
+// Every rule is per-file, so files audit independently and a parallel
+// driver's output depends only on the set of files.  Data races and lock
+// order are TSan's (the CI tsan leg); layering below the include level —
+// a forward-declared call into a layer the caller must not reach — fails
+// the whole-archive link check in tests/CMakeLists.txt.
 //
 // Justified exceptions are line comments of the form
 //
@@ -66,19 +50,15 @@
 //   <marker> context(merge)    mark as a cross-worker merge path
 //
 // All findings are collected (never fail-fast) and rendered as text or
-// JSON, mirroring aqt-lint/aqt-verify; a checked-in baseline file can
-// grandfather pre-existing findings so the gate stays "no *new* hazards".
+// JSON, mirroring aqt-lint/aqt-verify.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace aqt::audit {
 
-/// One rule of the pack, for docs, --list-rules, and the corpus meta-test.
+/// One rule of the pack, for docs, metrics, and the corpus meta-test.
 struct RuleInfo {
   const char* id;
   const char* summary;
@@ -93,9 +73,6 @@ struct AuditFinding {
   std::string rule;
   int line = 0;
   std::string message;
-  /// FNV-1a of the trimmed source line — the baseline key, so baselines
-  /// survive unrelated line-number drift within the file.
-  std::uint64_t line_hash = 0;
 };
 
 /// The verdict for one file.
@@ -119,8 +96,9 @@ struct FileContext {
 FileContext classify_path(const std::string& path);
 
 /// Audits source text under the path-derived (or directive-overridden)
-/// context.  Content problems become findings, never exceptions.
-/// Equivalent to a single-file project: finalize_project({unit}).
+/// context: every rule, allow() suppressions, and unused allows as
+/// AUD007.  Findings come sorted by line, then rule.  Content problems
+/// become findings, never exceptions.
 AuditReport audit_source(std::string file, const std::string& text);
 
 /// Reads and audits a file; I/O errors throw PreconditionError (the tool
@@ -139,82 +117,12 @@ bool auditable_source_path(const std::string& path);
 std::vector<std::string> collect_audit_files(
     const std::vector<std::string>& roots);
 
-// --- Project (cross-TU) audit ----------------------------------------------
-
-struct FileSemantics;  // Internal per-file payload (auditor.cpp).
-
-/// One file's scanned, symbol-resolved, per-file-rule-checked state.
-/// Units are independent — computing them is the parallel phase.
-struct AuditUnit {
-  std::string file;
-  std::shared_ptr<FileSemantics> sem;
-};
-
-/// Runs the per-file phase: lexing, symbols, lock flow, call extraction,
-/// rules AUD001–AUD008, AUD010, AUD012, and directive parsing.
-AuditUnit audit_unit(std::string file, const std::string& text);
-
-/// audit_unit over a file's contents; I/O errors throw PreconditionError.
-AuditUnit audit_unit_file(const std::string& path);
-
-/// The serial cross-TU phase: merges every unit's call slice into one
-/// call graph, runs AUD009 (lock order) and AUD011 (call-graph
-/// layering), applies allow() suppressions, reports unused allows as
-/// AUD007, and returns one sorted report per unit (sorted by file).
-/// Deterministic: output depends only on the set of units, not on the
-/// order they were computed in.
-std::vector<AuditReport> finalize_project(std::vector<AuditUnit> units);
-
-// --- Baseline (grandfathered findings) -------------------------------------
-
-/// One grandfathered finding: rule + file + trimmed-line content hash.
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  std::uint64_t line_hash = 0;
-};
-
-/// Parses the baseline format (one `RULE<TAB>file<TAB>hex-hash` per line,
-/// '#' comments).  Hardened: malformed input throws PreconditionError
-/// naming the line, never crashes.
-std::vector<BaselineEntry> parse_baseline(std::istream& is,
-                                          const std::string& name);
-std::vector<BaselineEntry> load_baseline_file(const std::string& path);
-
-/// Serializes every finding of `reports` as a baseline file.
-std::string to_baseline(const std::vector<AuditReport>& reports);
-
-struct BaselineApplied {
-  std::size_t suppressed = 0;  ///< Findings removed by baseline matches.
-  std::vector<BaselineEntry> stale;  ///< Entries that matched nothing.
-};
-
-/// Removes baselined findings (multiset semantics: one entry absolves one
-/// finding).  Returns what was used and what is stale so the baseline can
-/// only ever shrink.
-BaselineApplied apply_baseline(std::vector<AuditReport>& reports,
-                               const std::vector<BaselineEntry>& baseline);
-
 // --- Rendering -------------------------------------------------------------
 
 std::string to_human(const std::vector<AuditReport>& reports);
 
-/// JSON rendering.  `stale` lists baseline entries that matched nothing
-/// (a distinct top-level field so CI can gate on them without scraping
-/// stderr); pass {} when no baseline was applied.
-std::string to_json(const std::vector<AuditReport>& reports,
-                    const std::vector<BaselineEntry>& stale = {});
-
-/// Re-parses to_json output through the shared JSON reader
-/// (util/json.hpp), accepting exactly to_json's layout: PreconditionError
-/// (never a crash) on any malformation.  Exists so CI pipelines — and the
-/// round-trip meta-test — can consume audit reports without trusting
-/// them.  When `stale_out` is non-null it receives the "stale" field.
-std::vector<AuditReport> parse_audit_json(
-    const std::string& text, const std::string& name,
-    std::vector<BaselineEntry>* stale_out = nullptr);
-
-/// FNV-1a 64 of the trimmed text — exposed for baseline tooling/tests.
-std::uint64_t line_content_hash(const std::string& line);
+/// JSON rendering: {"tool":"aqt-audit","ok":...,"reports":[{"file",
+/// "ok","findings":[{"rule","line","message"}]}]}.
+std::string to_json(const std::vector<AuditReport>& reports);
 
 }  // namespace aqt::audit

@@ -34,8 +34,8 @@ class Cursor {
   int line_ = 1;
 };
 
-/// Splits the raw text into physical lines (for snippets / baseline
-/// hashing).  The trailing newline does not create an empty extra line.
+/// Splits the raw text into physical lines (for directive placement).
+/// The trailing newline does not create an empty extra line.
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::string current;

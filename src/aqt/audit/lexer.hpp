@@ -48,8 +48,8 @@ struct PreprocessorLine {
   int line = 1;
 };
 
-/// A whole file, scanned.  `lines` keeps the raw source lines so rules can
-/// attach snippets and the baseline can hash line content.
+/// A whole file, scanned.  `lines` keeps the raw source lines so a
+/// directive can tell whether it has its line to itself.
 struct ScannedSource {
   std::vector<Token> tokens;
   std::vector<Comment> comments;

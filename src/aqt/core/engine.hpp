@@ -124,8 +124,8 @@ struct EngineConfig {
   bool compile_schedules = true;
 
   /// All borrowed observer sinks, as one aggregate (see EngineSinks).
-  /// (The pre-PR-5 per-sink alias fields — record_trace / profile /
-  /// record_events — are gone; aqt-audit rule AUD013 keeps them out.)
+  /// (The old per-sink alias fields — record_trace / profile /
+  /// record_events — are gone, so any use of them fails to compile.)
   EngineSinks sinks;
 };
 

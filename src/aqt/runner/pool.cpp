@@ -59,7 +59,6 @@ std::vector<std::string> parallel_for_each(
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
-    // aqt-audit: allow(AUD010) -- every referent outlives the join below
     pool.emplace_back([&] {
       for (;;) {
         const std::size_t begin =
@@ -201,7 +200,6 @@ RunPoolReport run_pool(const std::vector<RunSpec>& specs, unsigned jobs,
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
-      // aqt-audit: allow(AUD010) -- every referent outlives the join below
       pool.emplace_back([&, w] {
         const std::uint64_t worker_start = clock.ticks();
         for (;;) {

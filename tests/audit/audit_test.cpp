@@ -1,21 +1,21 @@
 // Tests for the aqt-audit determinism analyzer: the token scanner's
 // soundness obligations (comments/strings never reach the code stream),
 // every AUD rule against known-bad and near-miss corpus files, directive
-// suppression semantics, the baseline round-trip, and the hardened JSON
-// round-trip shared with the other CI-facing tools.
+// suppression semantics, --jobs invariance, and the JSON report read back
+// through the shared JSON reader.
 #include "aqt/audit/auditor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "aqt/audit/lexer.hpp"
+#include "aqt/runner/pool.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/json.hpp"
 
 namespace aqt::audit {
 namespace {
@@ -259,6 +259,23 @@ TEST(AuditDirectiveTest, UnusedAllowIsReportedAsAud007) {
             std::string::npos);
 }
 
+TEST(AuditDirectiveTest, AllowOfARetiredRuleIsAnAud007Finding) {
+  // AUD008-AUD013 are no longer in the pack: an allow() naming one is an
+  // unknown rule, so a stale suppression cannot linger after its rule.
+  for (const std::string id :
+       {"AUD008", "AUD009", "AUD010", "AUD011", "AUD012", "AUD013"}) {
+    const AuditReport rep = audit_source(
+        "src/aqt/runner/x.cpp",
+        "int f(int x) { return x; }  // aqt-audit: allow(" + id +
+            ") -- retired\n");
+    EXPECT_TRUE(only_rule(rep, "AUD007")) << to_human({rep});
+    ASSERT_EQ(rep.findings.size(), 1u) << id;
+    EXPECT_NE(rep.findings[0].message.find("unknown rule id '" + id + "'"),
+              std::string::npos)
+        << rep.findings[0].message;
+  }
+}
+
 TEST(AuditDirectiveTest, MarkerInProseIsIgnored) {
   const AuditReport rep = audit_source(
       "src/aqt/core/x.cpp",
@@ -284,22 +301,8 @@ std::string rule_lower(const RuleInfo& rule) {
   return low;
 }
 
-/// Audits one corpus case through the project API.  When a cross-TU
-/// companion (audNNN_support.cpp) exists it joins the project — AUD011
-/// needs a second TU in another layer — and the case file's report is
-/// returned.
 AuditReport audit_corpus(const std::string& low, const std::string& kind) {
-  const std::string main_path = corpus(low + "_" + kind + ".cpp");
-  std::vector<AuditUnit> units;
-  units.push_back(audit_unit_file(main_path));
-  const std::string support = corpus(low + "_support.cpp");
-  if (std::ifstream(support).good())
-    units.push_back(audit_unit_file(support));
-  std::vector<AuditReport> reports = finalize_project(std::move(units));
-  for (AuditReport& rep : reports)
-    if (rep.file == main_path) return std::move(rep);
-  ADD_FAILURE() << "no report for " << main_path;
-  return {};
+  return audit_file(corpus(low + "_" + kind + ".cpp"));
 }
 
 TEST(AuditCorpusTest, EveryBadFileIsDetectedByExactlyItsRule) {
@@ -329,17 +332,6 @@ TEST(AuditCorpusTest, MetaEveryPackRuleHasCorpusCoverage) {
     EXPECT_EQ(covered.count(rule.id), 1u) << rule.id << " has no corpus hit";
 }
 
-TEST(AuditCorpusTest, Aud011CatchesTheIndirectReachAud006Misses) {
-  // The bad file #includes nothing from runner, so the include-level
-  // check is structurally blind to it; only the call graph sees the hop.
-  const AuditReport rep = audit_corpus("aud011", "bad");
-  EXPECT_FALSE(has_rule(rep, "AUD006")) << to_human({rep});
-  EXPECT_TRUE(has_rule(rep, "AUD011")) << to_human({rep});
-  // Both the direct call into runner_detail and the call that reaches it
-  // only transitively are flagged.
-  EXPECT_EQ(rep.findings.size(), 2u) << to_human({rep});
-}
-
 TEST(AuditCorpusTest, Aud004FlagsPointerKeysOverRecycledArenaSlots) {
   // The SoA engine hands out recycled PacketArena slots, which makes
   // pointer-keyed ordered bookkeeping doubly wrong: address order varies
@@ -351,50 +343,41 @@ TEST(AuditCorpusTest, Aud004FlagsPointerKeysOverRecycledArenaSlots) {
   ASSERT_EQ(rep.findings.size(), 1u) << to_human({rep});
 }
 
-TEST(AuditRaceProbe, StaticAnalysisFlagsTheSiteTsanCatches) {
-  // race_probe.cpp is the one corpus file that is also compiled (the
-  // aqt-race-probe target, built with AQT_AUDIT_CORPUS_RACE) so TSan can
-  // catch the race at runtime.  The static side of that agreement: AUD008
-  // must flag exactly the marked write, and nothing else in the file.
-  const std::string path = corpus("race_probe.cpp");
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int race_line = 0;
-  for (int n = 1; std::getline(in, line); ++n)
-    if (line.find("RACE-SITE") != std::string::npos) race_line = n;
-  ASSERT_GT(race_line, 0) << "marker comment missing from " << path;
-
-  const AuditReport rep = audit_file(path);
-  EXPECT_TRUE(only_rule(rep, "AUD008")) << to_human({rep});
-  bool flagged = false;
-  for (const AuditFinding& f : rep.findings)
-    if (f.rule == "AUD008" && f.line == race_line &&
-        f.message.find("g_total") != std::string::npos)
-      flagged = true;
-  EXPECT_TRUE(flagged) << to_human({rep});
+/// Audits `files` on `jobs` run-pool workers, one report slot per file —
+/// the aqt-audit tool's driver.
+std::vector<AuditReport> audit_in_parallel(
+    const std::vector<std::string>& files, unsigned jobs) {
+  std::vector<AuditReport> reports(files.size());
+  const std::vector<std::string> errors = parallel_for_each(
+      files.size(), jobs,
+      [&](std::size_t i) { reports[i] = audit_file(files[i]); });
+  for (const std::string& err : errors) EXPECT_TRUE(err.empty()) << err;
+  return reports;
 }
 
-TEST(AuditCorpusTest, FinalizeProjectIsOrderInvariant) {
-  // The cross-TU phase must not depend on unit arrival order (the tool
-  // computes units in parallel under --jobs).
-  std::vector<AuditUnit> fwd;
-  fwd.push_back(audit_unit_file(corpus("aud011_bad.cpp")));
-  fwd.push_back(audit_unit_file(corpus("aud011_support.cpp")));
-  fwd.push_back(audit_unit_file(corpus("aud009_bad.cpp")));
-  std::vector<AuditUnit> rev;
-  rev.push_back(audit_unit_file(corpus("aud009_bad.cpp")));
-  rev.push_back(audit_unit_file(corpus("aud011_support.cpp")));
-  rev.push_back(audit_unit_file(corpus("aud011_bad.cpp")));
-  EXPECT_EQ(to_json(finalize_project(std::move(fwd))),
-            to_json(finalize_project(std::move(rev))));
+TEST(AuditCorpusTest, ReportsAreIdenticalForAnyJobs) {
+  // Every rule is per-file, so the report over a multi-file set must not
+  // depend on how many workers audited it.  The set mixes every corpus
+  // case (findings of each rule, allows, AUD007) with real sources.
+  std::vector<std::string> files = collect_audit_files(
+      {std::string(AQT_SOURCE_DIR) + "/src/aqt/audit",
+       std::string(AQT_SOURCE_DIR) + "/tests/audit"});
+  for (const RuleInfo& rule : rule_pack())
+    for (const char* kind : {"bad", "good"})
+      files.push_back(corpus(rule_lower(rule) + "_" + kind + ".cpp"));
+  files.push_back(corpus("aud004_arena_bad.cpp"));
+  const std::vector<AuditReport> serial = audit_in_parallel(files, 1);
+  const std::vector<AuditReport> parallel = audit_in_parallel(files, 4);
+  EXPECT_FALSE(to_human(serial).empty());
+  EXPECT_EQ(to_human(serial), to_human(parallel));
+  EXPECT_EQ(to_json(serial), to_json(parallel));
 }
 
 TEST(AuditCorpusTest, UnreadableFileIsAHardError) {
   EXPECT_THROW(audit_file(corpus("no_such_file.cpp")), PreconditionError);
 }
 
-// --- JSON round-trip (hardened-parser discipline) --------------------------
+// --- JSON report, read back through util/json -----------------------------
 
 std::vector<AuditReport> corpus_reports() {
   std::vector<AuditReport> reports;
@@ -407,132 +390,37 @@ std::vector<AuditReport> corpus_reports() {
 
 TEST(AuditJsonTest, RoundTripsThroughTheHardenedParser) {
   const std::vector<AuditReport> reports = corpus_reports();
-  const std::vector<AuditReport> back =
-      parse_audit_json(to_json(reports), "round-trip");
+  const JsonValue doc = parse_json(to_json(reports), "round-trip");
+  EXPECT_EQ(doc.find("tool")->as_string(), "aqt-audit");
+  const std::vector<JsonValue>& back = doc.find("reports")->items();
   ASSERT_EQ(back.size(), reports.size());
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(back[i].file, reports[i].file);
-    ASSERT_EQ(back[i].findings.size(), reports[i].findings.size());
-    for (std::size_t j = 0; j < reports[i].findings.size(); ++j) {
-      EXPECT_EQ(back[i].findings[j].rule, reports[i].findings[j].rule);
-      EXPECT_EQ(back[i].findings[j].line, reports[i].findings[j].line);
-      EXPECT_EQ(back[i].findings[j].message, reports[i].findings[j].message);
+    EXPECT_EQ(back[i].find("file")->as_string(), reports[i].file);
+    const std::vector<JsonValue>& findings = back[i].find("findings")->items();
+    ASSERT_EQ(findings.size(), reports[i].findings.size());
+    for (std::size_t j = 0; j < findings.size(); ++j) {
+      const AuditFinding& f = reports[i].findings[j];
+      EXPECT_EQ(findings[j].find("rule")->as_string(), f.rule);
+      EXPECT_EQ(findings[j].find("line")->as_int(), f.line);
+      EXPECT_EQ(findings[j].find("message")->as_string(), f.message);
     }
   }
 }
 
-TEST(AuditJsonTest, StaleEntriesRoundTrip) {
-  const std::vector<BaselineEntry> stale = {
-      BaselineEntry{"AUD004", "src/aqt/core/x.cpp", 0xdeadbeef00000001ull}};
-  std::vector<BaselineEntry> back;
-  const std::vector<AuditReport> reports =
-      parse_audit_json(to_json({}, stale), "stale-trip", &back);
-  EXPECT_TRUE(reports.empty());
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].rule, "AUD004");
-  EXPECT_EQ(back[0].file, "src/aqt/core/x.cpp");
-  EXPECT_EQ(back[0].line_hash, 0xdeadbeef00000001ull);
-}
-
-TEST(AuditJsonTest, MalformedInputThrowsNeverCrashes) {
-  const char* bad[] = {
-      "",
-      "null",
-      "{",
-      "{\"tool\":\"aqt-audit\"}",
-      "{\"tool\":\"other\",\"ok\":true,\"reports\":[]}",
-      "{\"tool\":\"aqt-audit\",\"ok\":true,\"reports\":[]} trailing",
-      "{\"tool\":\"aqt-audit\",\"ok\":\"yes\",\"reports\":[]}",
-      "{\"tool\":\"aqt-audit\",\"ok\":true,\"reports\":[{\"file\":\"f\"}]}",
-      "{\"tool\":\"aqt-audit\",\"ok\":true,\"reports\":[{\"file\":\"f\","
-      "\"ok\":true,\"findings\":[{\"rule\":\"AUD001\",\"line\":true,"
-      "\"message\":\"m\"}]}]}",
-  };
-  for (const char* text : bad)
-    EXPECT_THROW(parse_audit_json(text, "t"), PreconditionError) << text;
-}
-
 TEST(AuditJsonTest, OkFlagMustMatchTheFindings) {
-  // A report that claims ok but carries findings (or vice versa) is a
-  // forged document, not a formatting quirk.
-  EXPECT_THROW(
-      parse_audit_json(
-          "{\"tool\":\"aqt-audit\",\"ok\":true,\"reports\":[{\"file\":\"f\","
-          "\"ok\":true,\"findings\":[{\"rule\":\"AUD001\",\"line\":1,"
-          "\"message\":\"m\"}]}]}",
-          "t"),
-      PreconditionError);
-}
+  // Each report's ok flag, and the document's, say whether findings exist.
+  const std::vector<AuditReport> reports = corpus_reports();
+  const JsonValue doc = parse_json(to_json(reports), "ok-flags");
+  EXPECT_FALSE(doc.find("ok")->as_bool());  // The bad cases have findings.
+  const std::vector<JsonValue>& back = doc.find("reports")->items();
+  ASSERT_EQ(back.size(), reports.size());
+  for (std::size_t i = 0; i < reports.size(); ++i)
+    EXPECT_EQ(back[i].find("ok")->as_bool(), reports[i].ok())
+        << reports[i].file;
 
-// --- Baseline --------------------------------------------------------------
-
-TEST(AuditBaselineTest, ParsesCommentsAndEntries) {
-  std::istringstream in(
-      "# comment\n"
-      "\n"
-      "AUD001\tsrc/aqt/core/x.cpp\tdeadbeef00000001\n");
-  const std::vector<BaselineEntry> entries = parse_baseline(in, "t");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].rule, "AUD001");
-  EXPECT_EQ(entries[0].file, "src/aqt/core/x.cpp");
-  EXPECT_EQ(entries[0].line_hash, 0xdeadbeef00000001ull);
-}
-
-TEST(AuditBaselineTest, MalformedBaselineThrows) {
-  const char* bad[] = {
-      "AUD001\tonly-two-fields\n",
-      "AUD001\tf\tnot-hex\n",
-      "NOPE9\tf\tdeadbeef00000001\n",
-  };
-  for (const char* text : bad) {
-    std::istringstream in(text);
-    EXPECT_THROW(parse_baseline(in, "t"), PreconditionError) << text;
-  }
-}
-
-TEST(AuditBaselineTest, RoundTripAndMultisetSemantics) {
-  std::vector<AuditReport> reports = {
-      audit_file(corpus("aud004_bad.cpp"))};
-  ASSERT_EQ(reports[0].findings.size(), 3u);
-
-  std::istringstream in(to_baseline(reports));
-  std::vector<BaselineEntry> entries = parse_baseline(in, "t");
-  ASSERT_EQ(entries.size(), 3u);
-
-  // A full baseline absolves everything, nothing is stale.
-  std::vector<AuditReport> full = reports;
-  BaselineApplied applied = apply_baseline(full, entries);
-  EXPECT_EQ(applied.suppressed, 3u);
-  EXPECT_TRUE(applied.stale.empty());
-  EXPECT_TRUE(full[0].ok());
-
-  // Two findings on identical source lines share one content hash; one
-  // baseline entry absolves exactly one of them (multiset, not set,
-  // semantics).
-  std::vector<AuditReport> twins = {
-      audit_source("src/aqt/core/x.cpp",
-                   "std::map<Node*, int> idx;\nstd::map<Node*, int> idx;\n")};
-  ASSERT_EQ(twins[0].findings.size(), 2u);
-  ASSERT_EQ(twins[0].findings[0].line_hash, twins[0].findings[1].line_hash);
-  std::vector<BaselineEntry> one = {BaselineEntry{
-      "AUD004", twins[0].file, twins[0].findings[0].line_hash}};
-  applied = apply_baseline(twins, one);
-  EXPECT_EQ(applied.suppressed, 1u);
-  EXPECT_EQ(twins[0].findings.size(), 1u);
-
-  // An entry for a fixed finding comes back as stale.
-  std::vector<AuditReport> clean = {audit_file(corpus("aud004_good.cpp"))};
-  applied = apply_baseline(clean, one);
-  EXPECT_EQ(applied.suppressed, 0u);
-  ASSERT_EQ(applied.stale.size(), 1u);
-  EXPECT_EQ(applied.stale[0].rule, "AUD004");
-}
-
-TEST(AuditBaselineTest, LineHashIgnoresIndentationDrift) {
-  EXPECT_EQ(line_content_hash("  total += x;"),
-            line_content_hash("\ttotal += x;   "));
-  EXPECT_NE(line_content_hash("total += x;"),
-            line_content_hash("total += y;"));
+  const std::vector<AuditReport> clean = {
+      audit_corpus("aud001", "good"), audit_corpus("aud004", "good")};
+  EXPECT_TRUE(parse_json(to_json(clean), "clean").find("ok")->as_bool());
 }
 
 }  // namespace

@@ -25,7 +25,9 @@ TEST(ProtocolFactory, KnowsAllNames) {
     auto p = make_protocol(name);
     ASSERT_NE(p, nullptr) << name;
     // SIS aliases NIS; every other protocol reports its own name.
-    if (name != "SIS") EXPECT_EQ(p->name(), name);
+    if (name != "SIS") {
+      EXPECT_EQ(p->name(), name);
+    }
   }
 }
 

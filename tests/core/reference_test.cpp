@@ -142,7 +142,9 @@ TEST_P(Differential, InitialConfigurationAgrees) {
 INSTANTIATE_TEST_SUITE_P(DeterministicProtocols, Differential,
                          ::testing::Values("FIFO", "LIFO", "LIS", "NIS",
                                            "FTG", "NTG", "FFS", "NTS"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(DifferentialReroute, HistoricProtocolsAgreeUnderReroutes) {
   // Replay a scripted run with a mid-flight reroute on both simulators.

@@ -222,27 +222,26 @@ TEST(JsonArtifacts, VerifyReportKeepsFileProtocolAndMessages) {
 TEST(JsonArtifacts, AuditReportKeepsFilesAndMessagesBothWays) {
   audit::AuditReport rep;
   rep.file = kBackslash;
-  rep.findings.push_back(audit::AuditFinding{"AUD001", 7, kControl, 0});
-  const std::vector<audit::BaselineEntry> stale = {
-      audit::BaselineEntry{"AUD004", kReturn, 0x0123456789abcdefULL}};
-  const std::string text = audit::to_json({rep}, stale);
+  rep.findings.push_back(audit::AuditFinding{"AUD001", 7, kControl});
+  audit::AuditReport clean;
+  clean.file = kReturn;
+  const JsonValue doc = parse_json(audit::to_json({rep, clean}), "audit");
+  EXPECT_EQ(at(doc, "tool").as_string(), "aqt-audit");
+  EXPECT_FALSE(at(doc, "ok").as_bool());
+  const std::vector<JsonValue>& reports = at(doc, "reports").items();
+  ASSERT_EQ(reports.size(), 2u);
 
-  const JsonValue doc = parse_json(text, "audit");
-  const JsonValue& r = at(doc, "reports").items().at(0);
+  const JsonValue& r = reports.at(0);
   EXPECT_EQ(at(r, "file").as_string(), kBackslash);
-  EXPECT_EQ(at(at(r, "findings").items().at(0), "message").as_string(),
-            kControl);
-  EXPECT_EQ(at(at(doc, "stale").items().at(0), "file").as_string(), kReturn);
+  EXPECT_FALSE(at(r, "ok").as_bool());
+  const JsonValue& f = at(r, "findings").items().at(0);
+  EXPECT_EQ(at(f, "rule").as_string(), "AUD001");
+  EXPECT_EQ(at(f, "line").as_int(), 7);
+  EXPECT_EQ(at(f, "message").as_string(), kControl);
 
-  std::vector<audit::BaselineEntry> back_stale;
-  const std::vector<audit::AuditReport> back =
-      audit::parse_audit_json(text, "audit", &back_stale);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].file, kBackslash);
-  EXPECT_EQ(back[0].findings.at(0).message, kControl);
-  ASSERT_EQ(back_stale.size(), 1u);
-  EXPECT_EQ(back_stale[0].file, kReturn);
-  EXPECT_EQ(back_stale[0].line_hash, 0x0123456789abcdefULL);
+  EXPECT_EQ(at(reports.at(1), "file").as_string(), kReturn);
+  EXPECT_TRUE(at(reports.at(1), "ok").as_bool());
+  EXPECT_TRUE(at(reports.at(1), "findings").items().empty());
 }
 
 TEST(JsonArtifacts, ServeCatalogKeepsNamedTopologyStrings) {

@@ -102,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Combo{"FIFO", 1}, Combo{"LIFO", 2}, Combo{"LIS", 3},
                       Combo{"NIS", 4}, Combo{"FTG", 5}, Combo{"NTG", 6},
                       Combo{"FFS", 7}, Combo{"NTS", 8}, Combo{"RANDOM", 9}),
-    [](const ::testing::TestParamInfo<Combo>& info) {
-      return std::string(info.param.protocol);
+    [](const ::testing::TestParamInfo<Combo>& param_info) {
+      return std::string(param_info.param.protocol);
     });
 
 TEST(FifoOrderProperty, GlobalFifoOrderPerBuffer) {

@@ -149,8 +149,8 @@ TEST_P(ChainLengthSweep, GrowthTracksExactFormula) {
 
 INSTANTIATE_TEST_SUITE_P(AcrossThreshold, ChainLengthSweep,
                          ::testing::Values(3, 5, 7, 8, 10),
-                         [](const auto& info) {
-                           return "M" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "M" + std::to_string(param_info.param);
                          });
 
 TEST(Theorem317, MaxQueueTracksFinalIteration) {

@@ -227,7 +227,7 @@ TEST(RunPool, ParallelForEachReportsPerIndexErrors) {
   std::atomic<int> ran{0};
   const std::vector<std::string> errors = parallel_for_each(
       5, 3,
-      [&](std::size_t i) {  // aqt-audit: allow(AUD010) -- joins on return
+      [&](std::size_t i) {
         ran.fetch_add(1);
         AQT_REQUIRE(i != 2, "index two is cursed");
       });
@@ -243,7 +243,7 @@ TEST(RunPool, ParallelForEachReportsPerIndexErrors) {
 
 TEST(EngineSinks, SinksAggregateDrivesObservers) {
   // Observers attach only through EngineConfig::sinks — the deprecated
-  // per-sink alias fields were retired (aqt-audit AUD013 keeps them out).
+  // per-sink alias fields were retired, and the compiler rejects them.
   const Graph g = make_ring(4);
   auto protocol = make_protocol("FIFO", 1);
   RunTraceMeta meta;

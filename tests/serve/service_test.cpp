@@ -219,8 +219,11 @@ TEST(ServeService, DrainCheckpointsActiveJobsAndTheCheckpointResumes) {
   std::filesystem::create_directories(dir);
 
   const Registry registry;
+  // The served job is far longer than the drain takes to land, so the
+  // drain always finds it active; it stops at the next slice boundary.
   const Time steps = 2000000;
   std::string checkpoint_path;
+  Time checkpoint_step = 0;
   {
     ServiceConfig config;
     config.workers = 1;
@@ -237,14 +240,21 @@ TEST(ServeService, DrainCheckpointsActiveJobsAndTheCheckpointResumes) {
     ASSERT_EQ(outcomes.size(), 1u);
     ASSERT_EQ(outcomes[0].state, JobState::kCheckpointed);
     checkpoint_path = outcomes[0].checkpoint_path;
+    checkpoint_step = outcomes[0].result.checkpoint_step;
     ASSERT_FALSE(checkpoint_path.empty());
     ASSERT_TRUE(std::filesystem::exists(checkpoint_path));
+    ASSERT_GT(checkpoint_step, 0);
+    ASSERT_LT(checkpoint_step, steps);
   }
 
-  // The drained checkpoint continues to the uninterrupted result.
-  const RunResult full = execute_run(registry.compile(small_request(9, steps)));
+  // The drained checkpoint continues to the uninterrupted result.  A few
+  // slices past the checkpoint prove that as well as the whole 2M steps:
+  // a checkpoint resumes to any later horizon.
+  const Time horizon = checkpoint_step + 4 * 256;
+  const RunResult full =
+      execute_run(registry.compile(small_request(9, horizon)));
   ASSERT_TRUE(full.ok()) << full.error;
-  RunRequest resume = small_request(9, steps);
+  RunRequest resume = small_request(9, horizon);
   resume.resume_from = checkpoint_path;
   const RunResult resumed = execute_run(registry.compile(resume));
   ASSERT_TRUE(resumed.ok()) << resumed.error;

@@ -39,8 +39,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SpecCase{"parallel:4", 2, 4},
                       // lps:2x3: M+1 boundary + 2nM path edges + e0.
                       SpecCase{"lps:2x3", 14, 17}),
-    [](const auto& info) {
-      std::string name = info.param.spec;
+    [](const auto& param_info) {
+      std::string name = param_info.param.spec;
       for (char& ch : name)
         if (ch == ':' || ch == 'x') ch = '_';
       return name;

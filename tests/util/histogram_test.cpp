@@ -145,9 +145,10 @@ TEST(Histogram, BucketAccessorsMatchCumulativeCount) {
   std::uint64_t total = 0;
   for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
     total += h.bucket_count(b);
-    if (b > 0)
+    if (b > 0) {
       EXPECT_GT(Histogram::bucket_upper_bound(b),
                 Histogram::bucket_upper_bound(b - 1));
+    }
   }
   EXPECT_EQ(total, h.count());
   EXPECT_EQ(Histogram::bucket_upper_bound(0), 1);

@@ -61,7 +61,7 @@ TEST(Rational, ParseDecimal) {
 }
 
 TEST(Rational, ParseEmptyThrows) {
-  EXPECT_THROW(Rat::parse(""), PreconditionError);
+  EXPECT_THROW((void)Rat::parse(""), PreconditionError);
 }
 
 TEST(Rational, FloorCeilPositive) {

@@ -10,8 +10,8 @@
 // and all five hashes must equal the committed constant.
 //
 // If an intentional trace-format or semantics change moves the hashes,
-// regenerate the table with:
-//   AQT_PRINT_GOLDEN=1 ./tests/test_verify \
+// regenerate the table with this command, written on one line:
+//   AQT_PRINT_GOLDEN=1 ./tests/test_verify
 //     --gtest_filter='GoldenMatrix.*' 2>&1 | grep '^  {'
 // and paste the printed rows over kGolden below.  An *unintentional* move
 // means the compiled path, the pool, or the engine changed observable

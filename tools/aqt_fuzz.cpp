@@ -586,7 +586,7 @@ std::int64_t run_obs_fuzz(std::int64_t trials, Rng& master, unsigned jobs) {
   std::vector<std::string> messages(streams.size());
   const std::vector<std::string> errors = parallel_for_each(
       streams.size(), jobs,
-      [&](std::size_t trial) {  // aqt-audit: allow(AUD010) -- joins on return
+      [&](std::size_t trial) {
         Rng rng = streams[trial];
         const Graph g = random_topology(rng);
         const std::vector<std::string> protocols = {"FIFO", "LIFO", "LIS",
@@ -616,7 +616,6 @@ std::int64_t run_obs_fuzz(std::int64_t trials, Rng& master, unsigned jobs) {
                         static_cast<long long>(trial), proto.c_str(),
                         hash_hex(bare).c_str(), hash_hex(observed).c_str(),
                         hash_hex(traced).c_str());
-          // aqt-audit: allow(AUD008) -- slot trial has exactly one writer
           messages[trial] = buf;
         }
       });
@@ -790,8 +789,7 @@ int main(int argc, char** argv) {
   std::vector<TrialOutcome> outcomes(streams.size());
   const std::vector<std::string> trial_errors = parallel_for_each(
       streams.size(), jobs,
-      [&](std::size_t i) {  // aqt-audit: allow(AUD010) -- joins on return
-        // aqt-audit: allow(AUD008) -- slot i has exactly one writer
+      [&](std::size_t i) {
         outcomes[i] = run_differential_trial(
             streams[i], static_cast<std::int64_t>(i), steps);
       });

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
     std::vector<LintReport> reports(files.size());
     const std::vector<std::string> errors = parallel_for_each(
         files.size(), get_jobs(cli),
-        [&](std::size_t i) {  // aqt-audit: allow(AUD010) -- joins on return
-          // aqt-audit: allow(AUD008) -- slot i has exactly one writer
+        [&](std::size_t i) {
           reports[i] = lint_file(files[i]);
         });
     bool all_ok = true;

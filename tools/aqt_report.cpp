@@ -8,8 +8,8 @@
 // external assets, no scripts, so it opens anywhere and uploads as a CI
 // artifact.
 //
-//   aqt-sim --topology ring:12 --protocol NTG --steps 20000 \
-//           --timeseries run.csv --metrics-out run.json
+//   aqt-sim --topology ring:12 --protocol NTG --steps 20000
+//           --timeseries run.csv --metrics-out run.json     (one command)
 //   aqt-report --timeseries run.csv --metrics run.json --out report.html
 //
 // Exit codes: 0 = report written, 2 = usage or parse error.

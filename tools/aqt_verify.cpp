@@ -65,10 +65,8 @@ int main(int argc, char** argv) {
     std::vector<StabilityCertificate> certs(files.size());
     const std::vector<std::string> errors = parallel_for_each(
         files.size(), get_jobs(cli),
-        [&](std::size_t i) {  // aqt-audit: allow(AUD010) -- joins on return
-          // aqt-audit: allow(AUD008) -- slot i has exactly one writer
+        [&](std::size_t i) {
           reports[i] = verify_file(files[i]);
-          // aqt-audit: allow(AUD008) -- slot i has exactly one writer
           certs[i] = make_stability_certificate(reports[i]);
         });
     bool all_ok = true;
