@@ -118,6 +118,9 @@ def validate(value, schema, root, path, errors):
             validate(item, schema["items"], root, f"{path}[{i}]",
                      local_errors)
 
+    if "not" in schema and matches(value, schema["not"], root):
+        fail(f"matches the excluded shape {json.dumps(schema['not'])}")
+
     for clause in schema.get("allOf", []):
         check_known(clause)
         if "if" in clause:

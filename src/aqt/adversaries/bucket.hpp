@@ -9,8 +9,8 @@
 //
 // TokenBucket enforces the constraint by construction (exact rational
 // token arithmetic); BucketAdversary generates random traffic under it;
-// check_bucket verifies executions post-hoc with the same suffix-minimum
-// trick as the rate-r checker.
+// check_bucket (core/rate_check.hpp) verifies executions post-hoc with the
+// same suffix-minimum trick as the rate-r checker.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +49,6 @@ class TokenBucket {
   Rat tokens_;
   Time clock_ = 0;
 };
-
-/// Post-hoc feasibility: every interval [t1, t2] holds at most
-/// floor(b + r*(t2-t1+1)) injections per edge.
-RateCheckResult check_bucket(const RateAudit& audit, std::int64_t burst,
-                             const Rat& r);
 
 /// Random (b, r) traffic, feasible by construction: one token bucket per
 /// edge; an injection is issued only if every edge of its route has a

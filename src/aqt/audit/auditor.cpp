@@ -53,7 +53,8 @@ const std::map<std::string, std::set<std::string>>& layer_allowed() {
       {"runner", {"runner", "trace", "obs", "core", "util"}},
       {"lint", {"lint", "topology", "core", "util"}},
       {"verify",
-       {"verify", "lint", "analysis", "trace", "topology", "core", "util"}},
+       {"verify", "runner", "lint", "analysis", "trace", "topology", "obs",
+        "core", "util"}},
       {"experiments",
        {"experiments", "adversaries", "runner", "analysis", "topology",
         "trace", "obs", "core", "util"}},

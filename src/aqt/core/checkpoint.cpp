@@ -1,6 +1,5 @@
 #include "aqt/core/checkpoint.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "aqt/core/engine.hpp"
@@ -52,12 +51,6 @@ void save_checkpoint(const Engine& engine, std::ostream& os) {
       });
   engine.metrics_.save(os);
   os << "end\n";
-}
-
-void save_checkpoint_file(const Engine& engine, const std::string& path) {
-  std::ofstream out(path);
-  AQT_REQUIRE(static_cast<bool>(out), "cannot open " << path);
-  save_checkpoint(engine, out);
 }
 
 void load_checkpoint(Engine& engine, std::istream& is) {
@@ -134,12 +127,6 @@ void load_checkpoint(Engine& engine, std::istream& is) {
   engine.metrics_.load(is);
   is >> word;
   AQT_REQUIRE(is && word == "end", "truncated checkpoint");
-}
-
-void load_checkpoint_file(Engine& engine, const std::string& path) {
-  std::ifstream in(path);
-  AQT_REQUIRE(static_cast<bool>(in), "cannot open " << path);
-  load_checkpoint(engine, in);
 }
 
 }  // namespace aqt

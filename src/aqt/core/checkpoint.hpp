@@ -19,7 +19,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 namespace aqt {
 
@@ -27,12 +26,10 @@ class Engine;
 
 /// Writes `engine`'s full state.  Requires rate auditing to be disabled.
 void save_checkpoint(const Engine& engine, std::ostream& os);
-void save_checkpoint_file(const Engine& engine, const std::string& path);
 
 /// Restores state into a freshly constructed engine (same graph, same
 /// protocol, no packets, never stepped).  Throws PreconditionError on
 /// format errors or graph mismatch.
 void load_checkpoint(Engine& engine, std::istream& is);
-void load_checkpoint_file(Engine& engine, const std::string& path);
 
 }  // namespace aqt

@@ -104,6 +104,48 @@ RateCheckResult check_window(const RateAudit& audit, std::int64_t w,
   return RateCheckResult{};
 }
 
+RateCheckResult check_bucket(const RateAudit& audit, std::int64_t burst,
+                             const Rat& r) {
+  AQT_REQUIRE(burst >= 0, "negative burst");
+  const std::int64_t p = r.num();
+  const std::int64_t q = r.den();
+  AQT_REQUIRE(p > 0, "bucket check needs a positive rate");
+
+  for (EdgeId e = 0; e < audit.edge_count(); ++e) {
+    std::vector<Time> t = audit.times(e);
+    if (t.empty()) continue;
+    std::sort(t.begin(), t.end());
+
+    // With u_x = q*x - p*t_x, the interval [t_i, t_j] violates
+    // "count <= floor(b + r*length)" iff u_j - u_i > q*b - q + p.
+    const std::int64_t threshold = q * burst - q + p;
+    std::int64_t best_u = std::numeric_limits<std::int64_t>::max();
+    std::size_t best_i = 0;
+    for (std::size_t x = 0; x < t.size(); ++x) {
+      const std::int64_t u = q * static_cast<std::int64_t>(x + 1) - p * t[x];
+      if (u < best_u) {
+        best_u = u;
+        best_i = x;
+      }
+      // i == x is a legal witness here (a single packet can violate b=0,
+      // though we require b >= 1 in generators).
+      if (u - best_u > threshold) {
+        RateCheckResult res;
+        res.ok = false;
+        res.edge = e;
+        res.t1 = t[best_i];
+        res.t2 = t[x];
+        res.count = static_cast<std::int64_t>(x - best_i + 1);
+        res.budget =
+            (Rat(burst) + r * Rat(res.t2 - res.t1 + 1)).floor();
+        AQT_CHECK(res.count > res.budget, "bucket witness inconsistent");
+        return res;
+      }
+    }
+  }
+  return RateCheckResult{};
+}
+
 OnlineRateChecker::OnlineRateChecker(std::size_t edge_count, const Rat& r)
     : p_(r.num()), q_(r.den()), state_(edge_count) {
   AQT_REQUIRE(p_ > 0, "online checker needs a positive rate");

@@ -78,6 +78,12 @@ RateCheckResult check_rate_r(const RateAudit& audit, const Rat& r);
 RateCheckResult check_window(const RateAudit& audit, std::int64_t w,
                              const Rat& r);
 
+/// Exact (b, r) token-bucket feasibility, the (sigma, rho)-bounded
+/// adversary: every interval [t1, t2] holds at most floor(b + r*(t2-t1+1))
+/// injections per edge.
+RateCheckResult check_bucket(const RateAudit& audit, std::int64_t burst,
+                             const Rat& r);
+
 /// The tightest rate at which this audit would be feasible, as the maximum
 /// over edges and intervals of count/length (a diagnostic; returned as a
 /// double since it is only reported, never used in a constraint).

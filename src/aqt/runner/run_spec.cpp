@@ -8,6 +8,7 @@
 #include "aqt/core/checkpoint.hpp"
 #include "aqt/core/protocol.hpp"
 #include "aqt/core/rate_check.hpp"
+#include "aqt/obs/events.hpp"
 #include "aqt/obs/snapshot.hpp"
 #include "aqt/runner/job_checkpoint.hpp"
 #include "aqt/trace/run_trace.hpp"
@@ -23,7 +24,32 @@ bool cancel_requested(const RunControls& rc) {
   return rc.cancel != nullptr && rc.cancel->load(std::memory_order_relaxed);
 }
 
-void run_cell(const RunSpec& spec, RunResult& result) {
+/// A ReplayAdversary that fails the run at the first scripted reroute it
+/// cannot apply, instead of counting it as E10's cross-protocol replay does.
+class ScriptReplayAdversary final : public Adversary {
+ public:
+  explicit ScriptReplayAdversary(const Trace& script) : replay_(script) {}
+
+  void step(Time now, const Engine& engine, AdversaryStep& out) override {
+    replay_.step(now, engine, out);
+    if (const TraceEvent* ev = replay_.first_skipped()) {
+      std::ostringstream os;
+      os << "scripted reroute t=" << ev->t << " packet=" << ev->ordinal
+         << " cannot apply: the packet is no longer in flight, or the "
+            "suffix does not continue its route from where it is";
+      throw PreconditionError(os.str());
+    }
+  }
+  [[nodiscard]] bool finished(Time now) const override {
+    return replay_.finished(now);
+  }
+
+ private:
+  ReplayAdversary replay_;
+};
+
+void run_cell(const RunSpec& spec, const RunObservers& observers,
+              RunResult& result) {
   AQT_REQUIRE(spec.topology.build != nullptr,
               "RunSpec '" << result.name << "' has no topology recipe");
   AQT_REQUIRE(spec.steps >= 1,
@@ -48,8 +74,8 @@ void run_cell(const RunSpec& spec, RunResult& result) {
     // Checkpointable cells: the core checkpoint cannot carry the rate
     // audit, and the RANDOM protocol's key stream is engine-internal RNG
     // state the resumed process cannot reconstruct.
-    AQT_REQUIRE(!spec.audit_w.has_value() && !spec.audit_r.has_value() &&
-                    !ec.audit_rates,
+    AQT_REQUIRE(!spec.audit_w.has_value() && !spec.audit_burst.has_value() &&
+                    !spec.audit_r.has_value() && !ec.audit_rates,
                 "RunSpec '" << result.name
                             << "': checkpoint/resume requires the rate "
                                "audit off (core/checkpoint limitation)");
@@ -83,35 +109,42 @@ void run_cell(const RunSpec& spec, RunResult& result) {
   // adversary's RNG sequence.
   auto protocol = make_protocol(spec.protocol, mix_seed(spec.seed, 1));
 
-  const bool want_audit = spec.audit_w.has_value() || spec.audit_r.has_value();
-  AQT_REQUIRE(!spec.audit_w.has_value() || spec.audit_r.has_value(),
-              "RunSpec audit_w needs audit_r");
+  const bool want_audit = spec.audit_r.has_value();
+  AQT_REQUIRE((!spec.audit_w.has_value() && !spec.audit_burst.has_value()) ||
+                  want_audit,
+              "RunSpec audit_w and audit_burst need audit_r");
+  AQT_REQUIRE(!spec.audit_w.has_value() || !spec.audit_burst.has_value(),
+              "RunSpec audits a window or a bucket, not both");
   if (want_audit) ec.audit_rates = true;
   if (spec.artifacts.growth && ec.series_stride == 0)
     ec.series_stride = std::max<Time>(1, spec.steps / 512);
 
-  // Trace-hash runs keep only the streaming content hash: the writer is
-  // hash-only.
+  // Trace-hash runs keep only the streaming content hash unless an
+  // observer wants the bytes.
   std::optional<RunTraceWriter> writer;
-  if (spec.artifacts.trace_hash) {
+  if (spec.artifacts.trace_hash || observers.run_trace != nullptr) {
     if (resuming) {
       // Continuation writer: no header, hash seeded from the interrupted
       // segment, so finish() yields the uninterrupted run's hash.
-      writer.emplace(cp.trace);
+      if (observers.run_trace != nullptr)
+        writer.emplace(*observers.run_trace, cp.trace);
+      else
+        writer.emplace(cp.trace);
     } else {
-      RunTraceMeta meta;
+      RunTraceMeta meta =
+          spec.header.has_value() ? *spec.header : audit_header(spec);
       meta.protocol = spec.protocol;
       meta.seed = spec.seed;
-      if (spec.audit_w.has_value()) {
-        meta.window_w = *spec.audit_w;
-        meta.window_r = *spec.audit_r;
-      } else if (spec.audit_r.has_value()) {
-        meta.rate_r = *spec.audit_r;
-      }
-      writer.emplace(graph, meta);
+      if (observers.run_trace != nullptr)
+        writer.emplace(*observers.run_trace, graph, meta);
+      else
+        writer.emplace(graph, meta);
     }
     ec.sinks.trace = &*writer;
   }
+  ec.sinks.profile = observers.phases;
+  ec.sinks.events = observers.events;
+  ec.sinks.samples = observers.samples;
 
   Engine eng(graph, *protocol, ec);
   if (resuming) {
@@ -148,6 +181,9 @@ void run_cell(const RunSpec& spec, RunResult& result) {
       adversary->step(t, eng, discard);
     }
   }
+
+  if (observers.events != nullptr)
+    observers.events->milestone(eng.now(), "run-begin");
 
   // The main loop, sliced so cancellation and the scheduled checkpoint are
   // observed at deterministic step boundaries.  Slicing never changes the
@@ -212,7 +248,13 @@ void run_cell(const RunSpec& spec, RunResult& result) {
     return;
   }
 
-  if (spec.drain_after) eng.drain(spec.drain_cap);
+  if (spec.drain_after) {
+    if (observers.events != nullptr)
+      observers.events->milestone(eng.now(), "drain-begin");
+    eng.drain(spec.drain_cap);
+  }
+  if (observers.events != nullptr)
+    observers.events->milestone(eng.now(), "run-end");
   if (writer) writer->finish(eng.total_injected(), eng.total_absorbed());
 
   result.steps_run = eng.now();
@@ -231,10 +273,14 @@ void run_cell(const RunSpec& spec, RunResult& result) {
   }
   if (want_audit) {
     eng.finalize_audit();
-    result.feasible =
-        spec.audit_w.has_value()
-            ? check_window(eng.audit(), *spec.audit_w, *spec.audit_r).ok
-            : check_rate_r(eng.audit(), *spec.audit_r).ok;
+    if (spec.audit_w.has_value())
+      result.audit = check_window(eng.audit(), *spec.audit_w, *spec.audit_r);
+    else if (spec.audit_burst.has_value())
+      result.audit =
+          check_bucket(eng.audit(), *spec.audit_burst, *spec.audit_r);
+    else
+      result.audit = check_rate_r(eng.audit(), *spec.audit_r);
+    result.feasible = result.audit.ok;
   }
   if (spec.artifacts.metrics)
     obs::collect_engine_metrics(eng, result.metrics);
@@ -243,7 +289,20 @@ void run_cell(const RunSpec& spec, RunResult& result) {
 
 }  // namespace
 
-RunResult execute_run(const RunSpec& spec) {
+RunTraceMeta audit_header(const RunSpec& spec) {
+  RunTraceMeta meta;
+  meta.protocol = spec.protocol;
+  meta.seed = spec.seed;
+  if (spec.audit_w.has_value()) {
+    meta.window_w = spec.audit_w;
+    meta.window_r = spec.audit_r;
+  } else if (!spec.audit_burst.has_value()) {
+    meta.rate_r = spec.audit_r;
+  }
+  return meta;
+}
+
+RunResult execute_run(const RunSpec& spec, const RunObservers& observers) {
   RunResult result;
   result.name = spec.name.empty()
                     ? spec.protocol + "/" + spec.topology.name + "/" +
@@ -253,15 +312,15 @@ RunResult execute_run(const RunSpec& spec) {
   result.topology = spec.topology.name;
   result.seed = spec.seed;
   try {
-    run_cell(spec, result);
+    run_cell(spec, observers, result);
   } catch (const std::exception& e) {
     result.error = e.what();
   }
   return result;
 }
 
-RunSpec make_scripted_spec(std::string name, Graph graph,
-                           std::string protocol, Trace script, Time horizon) {
+RunSpec make_scripted_spec(std::string name, Graph graph, Trace script,
+                           const RunTraceMeta& header, Time horizon) {
   // The graph and script outlive every per-cell replay through shared
   // ownership captured in the recipe/factory closures.
   auto shared_graph = std::make_shared<Graph>(std::move(graph));
@@ -270,12 +329,13 @@ RunSpec make_scripted_spec(std::string name, Graph graph,
   spec.name = name;
   spec.topology.name = std::move(name);
   spec.topology.build = [shared_graph] { return *shared_graph; };
-  spec.protocol = std::move(protocol);
+  spec.protocol = header.protocol;
   spec.adversary = [shared_script](const Graph&, std::uint64_t) {
-    return std::make_unique<ReplayAdversary>(*shared_script);
+    return std::make_unique<ScriptReplayAdversary>(*shared_script);
   };
   spec.steps = std::max<Time>(1, horizon);
   spec.drain_after = true;
+  spec.header = header;
   spec.artifacts.trace_hash = true;
   return spec;
 }

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,14 +28,20 @@
 
 #include "aqt/core/adversary.hpp"
 #include "aqt/core/engine.hpp"
+#include "aqt/core/rate_check.hpp"
 #include "aqt/core/stability.hpp"
 #include "aqt/core/types.hpp"
 #include "aqt/obs/registry.hpp"
+#include "aqt/trace/run_trace.hpp"
 #include "aqt/util/rational.hpp"
 
 namespace aqt {
 
 class Trace;
+
+namespace obs {
+class JsonlEventWriter;
+}
 
 /// A named topology recipe (rebuilt per run so cells are independent).
 struct TopologyRecipe {
@@ -137,10 +144,18 @@ struct RunSpec {
   EngineConfig engine;
 
   /// Post-run traffic-feasibility audit: with both audit_w and audit_r,
-  /// the exact (w, r) window check; with only audit_r, the rate-r check.
-  /// Either forces engine.audit_rates on.  Result in RunResult::feasible.
+  /// the exact (w, r) window check; with audit_burst and audit_r, the exact
+  /// (b, r) bucket check; with only audit_r, the rate-r check.  Any of them
+  /// forces engine.audit_rates on.  Result in RunResult::feasible.
   std::optional<std::int64_t> audit_w;
+  std::optional<std::int64_t> audit_burst;
   std::optional<Rat> audit_r;
+
+  /// The run trace header: its scenario digest and declared constraints,
+  /// audited or not (aqt-sim's flag runs and scenario files declare theirs
+  /// either way); protocol and seed always come from this spec.  Unset,
+  /// it is audit_header(*this).
+  std::optional<RunTraceMeta> header;
 
   /// Optional initial configuration applied before step 1 (e.g. the
   /// S-initial-configuration of Corollaries 4.5/4.6).
@@ -180,6 +195,9 @@ struct RunResult {
 
   /// Post-run audit outcome; true when no audit was requested.
   bool feasible = true;
+  /// The audit's verdict, with the violating interval when infeasible
+  /// (RateCheckResult::describe renders it).
+  RateCheckResult audit;
 
   /// FNV-1a content hash of the run trace (artifacts.trace_hash); 0 when
   /// not requested.
@@ -203,17 +221,37 @@ struct RunResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
+/// Borrowed observers of one run, for a caller that watches it (aqt-sim).
+/// All null by default: run_pool and serve::Service pass none.  Like
+/// EngineSinks they are write-only, so observing a run never changes it.
+struct RunObservers {
+  StepPhaseSink* phases = nullptr;          ///< EngineSinks::profile.
+  obs::JsonlEventWriter* events = nullptr;  ///< Packet events + milestones.
+  StepSampleSink* samples = nullptr;        ///< EngineSinks::samples.
+  /// Receives the run trace bytes (the hash in RunResult::trace_hash is
+  /// taken over them); null keeps the writer hash-only.
+  std::ostream* run_trace = nullptr;
+};
+
+/// The trace header a spec declares by default: its protocol and seed,
+/// and the audited (w, r) window or rate r; a bucket audit declares
+/// nothing.
+RunTraceMeta audit_header(const RunSpec& spec);
+
 /// Runs one cell start to finish.  Never throws: any exception the cell
 /// raises (bad topology recipe, unknown protocol, adversary precondition)
 /// is contained in RunResult::error, so one failing cell cannot take down
 /// a batch.
-RunResult execute_run(const RunSpec& spec);
+RunResult execute_run(const RunSpec& spec, const RunObservers& observers = {});
 
-/// A RunSpec that replays a recorded adversary script (scenario runs,
-/// aqt-sim --batch): runs `horizon` steps (stopping early when the script
-/// is exhausted), then drains, with the trace hash recorded.  The trace is
-/// shared by reference into the factory, so the returned spec owns it.
-RunSpec make_scripted_spec(std::string name, Graph graph,
-                           std::string protocol, Trace script, Time horizon);
+/// A RunSpec that replays a recorded adversary script (scenario runs):
+/// runs `horizon` steps (stopping early when the script is exhausted), then
+/// drains, with the trace hash recorded.  `header` supplies the protocol,
+/// the scenario digest and the declared constraints.  A scripted reroute
+/// that cannot apply fails the run with an error naming its t= and
+/// packet=.  The trace is shared by reference into the factory, so the
+/// returned spec owns it.
+RunSpec make_scripted_spec(std::string name, Graph graph, Trace script,
+                           const RunTraceMeta& header, Time horizon);
 
 }  // namespace aqt

@@ -145,6 +145,7 @@ RunSpec Registry::compile(const RunRequest& req) const {
   spec.drain_after = req.drain;
   spec.drain_cap = req.drain_cap;
   spec.audit_w = req.audit_w;
+  spec.audit_burst = req.audit_burst;
   spec.audit_r = req.audit_r;
   spec.artifacts.metrics = req.art_metrics;
   spec.artifacts.trace_hash = req.art_trace_hash;

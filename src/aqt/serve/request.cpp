@@ -169,13 +169,19 @@ RunRequest parse_run_request(const JsonValue& doc, const std::string& where) {
   if (const JsonValue* f = doc.find("audit")) {
     if (!f->is_object())
       bad(errc::kBadField, where, "\"audit\" must be an object");
-    reject_unknown_keys(*f, where, "audit", {"w", "r"});
+    reject_unknown_keys(*f, where, "audit", {"w", "burst", "r"});
     const JsonValue* r = f->find("r");
     if (r == nullptr)
       bad(errc::kMissingField, where, "\"audit\" needs at least \"r\"");
     req.audit_r = need_rat(*r, where, "audit.r");
     if (const JsonValue* w = f->find("w"))
       req.audit_w = need_int(*w, where, "audit.w", 1, 1000000000LL);
+    if (const JsonValue* b = f->find("burst")) {
+      if (req.audit_w.has_value())
+        bad(errc::kBadField, where,
+            "\"audit\" takes \"w\" or \"burst\", not both");
+      req.audit_burst = need_int(*b, where, "audit.burst", 1, 1000000000LL);
+    }
   }
 
   if (const JsonValue* f = doc.find("artifacts")) {
@@ -219,6 +225,17 @@ RunRequest parse_run_request(const std::string& text,
   return parse_run_request(doc, where);
 }
 
+void audit_adversary_constraint(RunRequest& req) {
+  const AdversarySpec& adv = req.adversary;
+  if (adv.kind == "none") return;
+  req.audit_r = adv.r;
+  if (adv.kind == "stochastic" || adv.kind == "hotspot" ||
+      adv.kind == "convoy")
+    req.audit_w = adv.w;
+  else if (adv.kind == "bucket")
+    req.audit_burst = adv.burst;
+}
+
 JsonValue run_request_to_json(const RunRequest& req) {
   JsonValue doc = JsonValue::make_object();
   doc.set("aqt_run_request", JsonValue::make_int(req.version));
@@ -254,6 +271,8 @@ JsonValue run_request_to_json(const RunRequest& req) {
     JsonValue audit = JsonValue::make_object();
     if (req.audit_w.has_value())
       audit.set("w", JsonValue::make_int(*req.audit_w));
+    if (req.audit_burst.has_value())
+      audit.set("burst", JsonValue::make_int(*req.audit_burst));
     audit.set("r", JsonValue::make_string(req.audit_r->str()));
     doc.set("audit", std::move(audit));
   }

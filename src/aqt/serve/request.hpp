@@ -23,7 +23,8 @@
 //     "stop_when_finished": true,                  // optional, default true
 //     "drain": false,                              // optional
 //     "drain_cap": 4096,                           // optional
-//     "audit": {"w": 8, "r": "9/10"},              // optional
+//     "audit": {"w": 8, "r": "9/10"},              // optional; or {"r": ...},
+//                                                  // or {"burst": 2, "r": ...}
 //     "artifacts": ["trace_hash"],                 // optional
 //     "deadline_ms": 60000,                        // optional, serve-only
 //     "resume_from": "/path/job.ckpt"              // optional
@@ -111,7 +112,8 @@ struct RunRequest {
   bool drain = false;
   Time drain_cap = 4096;
 
-  std::optional<std::int64_t> audit_w;
+  std::optional<std::int64_t> audit_w;      ///< (w, r) window audit.
+  std::optional<std::int64_t> audit_burst;  ///< (b, r) bucket audit.
   std::optional<Rat> audit_r;
 
   bool art_metrics = false;
@@ -128,6 +130,11 @@ struct RunRequest {
 RunRequest parse_run_request(const std::string& text,
                              const std::string& where);
 RunRequest parse_run_request(const JsonValue& doc, const std::string& where);
+
+/// Sets `req`'s audit to the constraint its adversary is built to obey:
+/// the (w, r) window for stochastic, hotspot and convoy, the (b, r) bucket
+/// for bucket, rate r for lps.  `none` obeys none and stays unaudited.
+void audit_adversary_constraint(RunRequest& req);
 
 /// The canonical JSON form: every field materialized (defaults included),
 /// fixed key order, write_json bytes.  parse(canonical(x)) == x and

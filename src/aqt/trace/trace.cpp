@@ -143,7 +143,7 @@ void ReplayAdversary::step(Time now, const Engine& engine,
     // route; both cases are skipped (the adversary loses that move).
     const PacketId id = engine.arena().find_by_ordinal(ev.ordinal);
     if (id == kNoPacket) {
-      ++skipped_;
+      if (skipped_++ == 0) first_skipped_ = next_ - 1;
       continue;
     }
     const Packet& p = engine.packet(id);
@@ -151,7 +151,7 @@ void ReplayAdversary::step(Time now, const Engine& engine,
                   p.route.begin() + static_cast<std::ptrdiff_t>(p.hop) + 1);
     updated.insert(updated.end(), ev.edges.begin(), ev.edges.end());
     if (!engine.graph().is_simple_path(updated)) {
-      ++skipped_;
+      if (skipped_++ == 0) first_skipped_ = next_ - 1;
       continue;
     }
     out.reroutes.push_back(Reroute{id, ev.edges});

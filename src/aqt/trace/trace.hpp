@@ -95,13 +95,19 @@ class ReplayAdversary final : public Adversary {
   void step(Time now, const Engine& engine, AdversaryStep& out) override;
   [[nodiscard]] bool finished(Time now) const override;
 
-  /// Reroutes dropped because their target was already absorbed.
+  /// Reroutes dropped because their target was already absorbed or the
+  /// suffix did not splice onto its position.
   [[nodiscard]] std::uint64_t skipped_reroutes() const { return skipped_; }
+  /// The first dropped reroute; null while none was dropped.
+  [[nodiscard]] const TraceEvent* first_skipped() const {
+    return skipped_ == 0 ? nullptr : &trace_.events()[first_skipped_];
+  }
 
  private:
   const Trace& trace_;
   std::size_t next_ = 0;
   std::uint64_t skipped_ = 0;
+  std::size_t first_skipped_ = 0;
 };
 
 }  // namespace aqt

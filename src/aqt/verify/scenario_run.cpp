@@ -77,4 +77,21 @@ ScenarioRun load_scenario_run(const std::string& path) {
   return run;
 }
 
+RunSpec make_scenario_spec(ScenarioRun run, std::string name, Time steps) {
+  const Time horizon = std::max<Time>(steps, run.last_event + 1);
+  return make_scripted_spec(std::move(name), std::move(run.topology.graph),
+                            std::move(run.script), run.meta, horizon);
+}
+
+LintReport lint_and_run_file(const std::string& path) {
+  LintReport rep = lint_file(path);
+  if (!rep.ok()) return rep;
+  const RunResult run =
+      execute_run(make_scenario_spec(load_scenario_run(path), path, 1));
+  if (!run.ok())
+    rep.findings.push_back(LintFinding{
+        "run-failed", 0, "the scenario does not run: " + run.error});
+  return rep;
+}
+
 }  // namespace aqt

@@ -245,24 +245,6 @@ TEST(Checkpoint, RejectsAPacketRouteThatIsNotASimplePath) {
   }
 }
 
-TEST(Checkpoint, FileRoundtripAndMissingFileErrors) {
-  const Graph g = make_line(3);
-  FifoProtocol fifo;
-  Engine eng(g, fifo);
-  eng.add_initial_packet({0, 1});
-  eng.run(nullptr, 1);
-  const std::string path = ::testing::TempDir() + "/aqt_ckpt_io.ckpt";
-  save_checkpoint_file(eng, path);
-  Engine restored(g, fifo);
-  load_checkpoint_file(restored, path);
-  EXPECT_EQ(restored.packets_in_flight(), eng.packets_in_flight());
-  std::remove(path.c_str());
-  Engine fresh(g, fifo);
-  EXPECT_THROW(load_checkpoint_file(fresh, path), PreconditionError);
-  EXPECT_THROW(save_checkpoint_file(eng, "/no/such/dir/x.ckpt"),
-               PreconditionError);
-}
-
 TEST(Checkpoint, PreservesSeries) {
   const Graph g = make_line(4);
   FifoProtocol fifo;

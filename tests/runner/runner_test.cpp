@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,7 +56,7 @@ RunSpec ring_convoy_spec() {
   ScenarioRun srun = load_scenario_run(
       std::string(AQT_SOURCE_DIR) + "/examples/scenarios/ring_convoy.aqts");
   return make_scripted_spec("ring_convoy", srun.topology.graph,
-                            srun.scenario.protocol, std::move(srun.script),
+                            std::move(srun.script), srun.meta,
                             std::max<Time>(srun.last_event + 1, 400));
 }
 
@@ -157,6 +158,30 @@ TEST(ExecuteRun, AuditWindowRequiresRate) {
   spec.audit_w = 12;  // No audit_r.
   const RunResult result = execute_run(spec);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(ExecuteRun, AuditHeaderDeclaresTheAuditedWindowOrRate) {
+  RunSpec spec = stochastic_spec("FIFO", 7);
+  RunTraceMeta meta = audit_header(spec);
+  EXPECT_EQ(meta.protocol, "FIFO");
+  EXPECT_EQ(meta.seed, 7u);
+  EXPECT_FALSE(meta.window_w.has_value() || meta.rate_r.has_value());
+
+  spec.audit_w = 12;
+  spec.audit_r = Rat(1, 4);
+  meta = audit_header(spec);
+  EXPECT_EQ(meta.window_w, std::optional<std::int64_t>(12));
+  EXPECT_EQ(meta.window_r, std::optional<Rat>(Rat(1, 4)));
+  EXPECT_FALSE(meta.rate_r.has_value());
+
+  spec.audit_w.reset();
+  meta = audit_header(spec);
+  EXPECT_FALSE(meta.window_w.has_value());
+  EXPECT_EQ(meta.rate_r, std::optional<Rat>(Rat(1, 4)));
+
+  spec.audit_burst = 2;  // A bucket audit declares nothing.
+  meta = audit_header(spec);
+  EXPECT_FALSE(meta.window_w.has_value() || meta.rate_r.has_value());
 }
 
 TEST(ExecuteRun, ScriptedSpecReplaysAndDrains) {

@@ -3,6 +3,8 @@
 // purity: compiling the same request twice runs to identical artifacts.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "aqt/runner/run_spec.hpp"
@@ -112,6 +114,33 @@ TEST(ServeRegistry, NamedRecipesResolveAndShowInCatalog) {
   for (const JsonValue& a : cat.find("adversaries")->items())
     if (a.as_string() == "bucket") has_bucket = true;
   EXPECT_TRUE(has_bucket);
+}
+
+TEST(ServeRegistry, BucketAuditIsTheExactBurstCheck) {
+  // The example request: (2, 1/3) bucket traffic audited as (2, 1/3).
+  std::ifstream in(std::string(AQT_SOURCE_DIR) +
+                   "/examples/requests/ring_bucket_audit.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Registry registry;
+  const RunResult fits =
+      execute_run(registry.compile(parse_run_request(text.str(), "example")));
+  ASSERT_TRUE(fits.ok()) << fits.error;
+  EXPECT_TRUE(fits.feasible);
+
+  // Burst-3 traffic breaks a burst-2 audit, and the witness says where.
+  RunRequest req = parse_run_request(text.str(), "example");
+  req.adversary.burst = 3;
+  const RunResult over = execute_run(registry.compile(req));
+  ASSERT_TRUE(over.ok()) << over.error;
+  EXPECT_FALSE(over.feasible);
+  EXPECT_FALSE(over.audit.ok);
+  EXPECT_LT(over.audit.edge, 8u);
+  EXPECT_LE(over.audit.t1, over.audit.t2);
+  EXPECT_GT(over.audit.count, over.audit.budget);
+  EXPECT_EQ(over.audit.budget,
+            (Rat(2) + Rat(1, 3) * Rat(over.audit.t2 - over.audit.t1 + 1))
+                .floor());
 }
 
 TEST(ServeRegistry, AuditAndArtifactSelectionsReachTheSpec) {

@@ -2,6 +2,7 @@
 // canonical round-trip anchor (parse(canonical(x)) == x, bytes stable).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "aqt/serve/request.hpp"
@@ -88,6 +89,58 @@ TEST(RunRequestParse, StableErrorCodes) {
               R"( "protocol": "FIFO", "adversary": {"kind": "byzantine"},)"
               R"( "steps": 10})",
               errc::kUnknownAdversary);
+}
+
+TEST(RunRequestParse, AuditTakesABurstOrAWindowNotBoth) {
+  const RunRequest req =
+      parse_run_request(minimal(R"(, "audit": {"burst": 2, "r": "1/3"})"),
+                        "test");
+  EXPECT_EQ(req.audit_burst, std::optional<std::int64_t>(2));
+  EXPECT_FALSE(req.audit_w.has_value());
+  EXPECT_EQ(req.audit_r, std::optional<Rat>(Rat(1, 3)));
+  const std::string canonical = canonical_request_json(req);
+  EXPECT_NE(canonical.find(R"("audit":{"burst":2,"r":"1/3"})"),
+            std::string::npos)
+      << canonical;
+  EXPECT_EQ(canonical_request_json(parse_run_request(canonical, "test")),
+            canonical);
+
+  expect_code(minimal(R"(, "audit": {"burst": 0, "r": "1/3"})"),
+              errc::kBadField);
+  expect_code(minimal(R"(, "audit": {"w": 6, "burst": 2, "r": "1/3"})"),
+              errc::kBadField);
+  expect_code(minimal(R"(, "audit": {"burst": 2})"), errc::kMissingField);
+}
+
+TEST(RunRequestParse, AdversaryConstraintAuditIsWhatTheKindObeys) {
+  RunRequest req;
+  req.adversary.w = 9;
+  req.adversary.r = Rat(1, 5);
+  req.adversary.burst = 3;
+  for (const char* kind : {"stochastic", "hotspot", "convoy"}) {
+    RunRequest windowed = req;
+    windowed.adversary.kind = kind;
+    audit_adversary_constraint(windowed);
+    EXPECT_EQ(windowed.audit_w, std::optional<std::int64_t>(9)) << kind;
+    EXPECT_FALSE(windowed.audit_burst.has_value()) << kind;
+    EXPECT_EQ(windowed.audit_r, std::optional<Rat>(Rat(1, 5))) << kind;
+  }
+  RunRequest bucket = req;
+  bucket.adversary.kind = "bucket";
+  audit_adversary_constraint(bucket);
+  EXPECT_FALSE(bucket.audit_w.has_value());
+  EXPECT_EQ(bucket.audit_burst, std::optional<std::int64_t>(3));
+  EXPECT_EQ(bucket.audit_r, std::optional<Rat>(Rat(1, 5)));
+  RunRequest lps = req;
+  lps.adversary.kind = "lps";
+  audit_adversary_constraint(lps);
+  EXPECT_FALSE(lps.audit_w.has_value());
+  EXPECT_FALSE(lps.audit_burst.has_value());
+  EXPECT_EQ(lps.audit_r, std::optional<Rat>(Rat(1, 5)));
+  RunRequest none = req;
+  none.adversary.kind = "none";
+  audit_adversary_constraint(none);
+  EXPECT_FALSE(none.audit_r.has_value());
 }
 
 TEST(RunRequestParse, CanonicalRoundTripIsExact) {

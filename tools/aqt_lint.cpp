@@ -4,7 +4,9 @@
 // linter.hpp): topology parse and gadget wiring, protocol existence, route
 // resolution/contiguity/simplicity, declared (w, r) and rate-r feasibility
 // of the scripted injections (reroute suffixes charged at the target's
-// injection time), and the static Lemma 3.3 reroute preconditions.
+// injection time), and the static Lemma 3.3 reroute preconditions.  A
+// clean file is then run through its scripted RunSpec (the one aqt-sim
+// runs), so a scripted reroute that cannot apply is a "run-failed" finding.
 //
 //   aqt-lint scenario.aqts ...            # human-readable report
 //   aqt-lint --format=json scenario.aqts  # machine-readable report
@@ -20,6 +22,7 @@
 #include "aqt/runner/pool.hpp"
 #include "aqt/util/check.hpp"
 #include "aqt/util/cli.hpp"
+#include "aqt/verify/scenario_run.hpp"
 
 int main(int argc, char** argv) {
   using namespace aqt;
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
     const std::vector<std::string> errors = parallel_for_each(
         files.size(), get_jobs(cli),
         [&](std::size_t i) {
-          reports[i] = lint_file(files[i]);
+          reports[i] = lint_and_run_file(files[i]);
         });
     bool all_ok = true;
     for (std::size_t i = 0; i < files.size(); ++i) {
