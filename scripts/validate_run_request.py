@@ -5,8 +5,9 @@ The sibling of validate_trace_event.py: a deliberately minimal,
 dependency-free checker (stdlib json/re only — CI must not pip install
 anything).  It hand-implements exactly the schema constructs that schema
 file uses (required/additionalProperties/enum/const/type/minimum/maximum/
-minLength/maxLength/pattern and the per-kind adversary conditionals), and
-fails loudly if the schema ever grows a construct it does not know.
+minLength/maxLength/pattern/not, boolean schemas and the per-kind adversary
+if/then conditionals) with their standard JSON Schema meaning, and fails
+loudly if the schema ever grows a construct it does not know.
 
 Usage: validate_run_request.py REQUEST.json [REQUEST.json ...]
 Exit codes: 0 = all valid, 1 = validation failure, 2 = usage/IO error.
@@ -72,6 +73,11 @@ def matches(value, schema, root):
 def validate(value, schema, root, path, errors):
     """Appends error strings to `errors` (or returns a bool when None)."""
     local_errors = [] if errors is None else errors
+    if isinstance(schema, bool):
+        # `false` accepts nothing: how the schema bans a key for one kind.
+        if not schema:
+            local_errors.append(f"{path or '$'}: not allowed here")
+        return local_errors if errors is None else errors
     schema = resolve(schema, root)
     check_known(schema)
 
@@ -125,20 +131,7 @@ def validate(value, schema, root, path, errors):
         check_known(clause)
         if "if" in clause:
             if matches(value, clause["if"], root) and "then" in clause:
-                then = clause["then"]
-                check_known(then)
-                for key in then.get("required", []):
-                    if key not in value:
-                        fail(f"missing {key!r} (required for this kind)")
-                if "not" in then:
-                    banned = then["not"].get("required", [])
-                    for key in banned:
-                        if key in value:
-                            fail(f"property {key!r} is banned for this kind")
-                for key, sub in then.get("properties", {}).items():
-                    if key in value:
-                        validate(value[key], sub, root, f"{path}.{key}",
-                                 local_errors)
+                validate(value, clause["then"], root, path, local_errors)
         else:
             validate(value, clause, root, path, local_errors)
 

@@ -1,6 +1,9 @@
 #include "aqt/core/checkpoint.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "aqt/core/engine.hpp"
 #include "aqt/util/check.hpp"
@@ -92,6 +95,7 @@ void load_checkpoint(Engine& engine, std::istream& is) {
   is >> word >> live;
   AQT_REQUIRE(is && word == "packets", "malformed packets header");
   Route route;
+  std::vector<std::pair<EdgeId, BufferEntry>> entries;
   for (std::uint64_t i = 0; i < live; ++i) {
     Packet p;
     std::uint64_t ordinal = 0;
@@ -116,11 +120,16 @@ void load_checkpoint(Engine& engine, std::istream& is) {
     // Rebuild the buffer entry: the key is a pure function of the packet's
     // stored arrival data, so deterministic protocols reproduce it exactly.
     const Packet& stored = engine.arena_[id];
-    const EdgeId edge = stored.route[stored.hop];
     const PriorityKey k = engine.protocol_.key(stored, stored.arrival_time,
                                                stored.arrival_seq);
-    engine.buffers_[edge].push(
-        BufferEntry{k.k1, k.k2, stored.arrival_seq, id});
+    entries.emplace_back(stored.route[stored.hop],
+                         BufferEntry{k.k1, k.k2, stored.arrival_seq, id});
+  }
+  // Pushed in key order, every push is an O(1) append to a ring buffer (and
+  // no worse than any other order for a heap).
+  std::sort(entries.begin(), entries.end());
+  for (const auto& [edge, entry] : entries) {
+    engine.buffers_[edge].push(entry);
     engine.set_active_bit(edge);
   }
   engine.arena_.set_total_created(created);

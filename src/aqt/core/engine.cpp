@@ -40,7 +40,8 @@ Engine::Engine(const Graph& graph, const Protocol& protocol,
       protocol_(protocol),
       key_rule_(protocol.key_rule()),
       config_(config),
-      buffers_(graph.edge_count()),
+      buffers_(graph.edge_count(),
+               Buffer(Buffer::layout_for(protocol.key_rule()))),
       active_words_((graph.edge_count() + 63) / 64, 0),
       metrics_(graph.edge_count()) {
   if (config_.audit_rates) audit_.emplace(graph.edge_count());
@@ -116,6 +117,12 @@ std::uint64_t Engine::max_queue_now() const {
     best = std::max(best, static_cast<std::uint64_t>(buffers_[e].size()));
   });
   return best;
+}
+
+std::uint64_t Engine::buffer_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const Buffer& b : buffers_) bytes += b.capacity_bytes();
+  return bytes;
 }
 
 std::vector<EdgeId> Engine::active_edges() const {

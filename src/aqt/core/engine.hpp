@@ -25,10 +25,11 @@
 //
 // Hot-path layout: the set of nonempty buffers is a dense bitmap scanned in
 // word-sized strides (ascending edge id, exactly the former ordered-set
-// order), buffers are flat binary heaps, packets are SoA records holding
-// interned RouteRefs, and Engine::run lowers oblivious adversaries into
-// blockwise CompiledSchedules so the steady-state step makes no virtual
-// adversary call and no allocation.
+// order), buffers are flat binary heaps or, for FIFO and LIFO, key-sorted
+// rings (buffer.hpp), packets are SoA records holding interned RouteRefs,
+// and Engine::run lowers oblivious adversaries into blockwise
+// CompiledSchedules so the steady-state step makes no virtual adversary
+// call and no allocation.
 #pragma once
 
 #include <cstdint>
@@ -174,6 +175,9 @@ class Engine {
   }
   /// Largest buffer right now.
   [[nodiscard]] std::uint64_t max_queue_now() const;
+  /// Bytes of buffer entry storage held, summed over edges (capacity, not
+  /// occupancy; see Buffer's release rule).
+  [[nodiscard]] std::uint64_t buffer_bytes() const;
 
   /// Edges with nonempty buffers, in increasing edge-id order (the order
   /// buffers send in).  Materialized from the active bitmap on every call —

@@ -5,7 +5,10 @@
 // receives a priority key; the buffer always forwards the packet with the
 // smallest key.  The key is *static while the packet sits in that buffer*
 // (remaining-route lengths only change on hops), which lets buffers be
-// ordered sets and makes the engine protocol-agnostic and O(log n).
+// binary heaps and makes the engine protocol-agnostic and O(log n).  The
+// KeyRule also picks the buffer representation (Buffer::layout_for): FIFO's
+// keys only grow and LIFO's only shrink, so their buffers are key-sorted
+// rings with O(1) push and pop.
 //
 // Two classification predicates from the paper are exposed:
 //  * historic (Definition 3.1): scheduling is independent of the remaining
@@ -40,7 +43,9 @@ struct PriorityKey {
 /// virtual `key()` dispatch on its hottest path (one call per enqueue).
 /// A protocol returning anything but kCustom asserts that its key() is
 /// *exactly* the listed formula; Engine::enqueue holds the other half of
-/// the contract (a switch mirroring the formulas below).
+/// the contract (a switch mirroring the formulas below).  kFifo and kLifo
+/// also select ring buffers; a ring serves any key order correctly, but
+/// only monotone keys are O(1).
 enum class KeyRule : std::uint8_t {
   kCustom,  ///< Call the virtual key().
   kFifo,    ///< {seq, 0}

@@ -63,6 +63,10 @@ void collect_engine_metrics(const Engine& engine, MetricRegistry& registry) {
              "Bytes of interned route storage (deduplicated edge pool)")
       .set(static_cast<double>(engine.route_table().pool_bytes()));
   registry
+      .gauge("aqt_buffer_bytes",
+             "Bytes of buffer entry storage held, summed over edges")
+      .set(static_cast<double>(engine.buffer_bytes()));
+  registry
       .counter("aqt_arena_recycled_total",
                "Packet arena slots reused from the free list")
       .set(engine.arena().recycled_total());

@@ -7,7 +7,9 @@
 //                              throws aqt::PreconditionError so callers and
 //                              tests can observe misuse without aborting.
 //
-// Both macros stringify the failing expression and capture file:line.
+// Both macros stringify the failing expression and capture file:line; the
+// file is reported relative to the source tree (src/aqt/..., tools/...), so
+// messages do not depend on the build directory.
 #pragma once
 
 #include <sstream>

@@ -1,8 +1,11 @@
 // Tests for engine checkpoint save/restore.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/adversaries/scripted.hpp"
@@ -11,6 +14,7 @@
 #include "aqt/core/engine.hpp"
 #include "aqt/core/protocol.hpp"
 #include "aqt/topology/generators.hpp"
+#include "aqt/trace/run_trace.hpp"
 #include "aqt/util/check.hpp"
 
 namespace aqt {
@@ -266,6 +270,146 @@ TEST(Checkpoint, PreservesSeries) {
     EXPECT_EQ(restored.metrics().series()[i].in_flight,
               eng.metrics().series()[i].in_flight);
   }
+}
+
+// --- Deep queues -------------------------------------------------------------
+//
+// FIFO and LIFO buffers are key-sorted rings (buffer.hpp).  A 5,000-packet
+// initial queue on one edge, with newer packets joining it while it drains,
+// is saved mid-drain, restored and finished: the resumed run must emit the
+// uninterrupted run's trace hash and serve edge 0 in the same order.  The
+// same run under a heap buffer (the identical key as a kCustom protocol)
+// must agree too.
+
+/// Forwards to a RunTraceWriter and logs the ordinals edge 0 sends.
+class PopLog final : public RunTraceSink {
+ public:
+  explicit PopLog(RunTraceWriter& inner) : inner_(inner) {}
+  void record_initial(std::uint64_t ordinal, std::uint64_t tag,
+                      RouteSpan route) override {
+    inner_.record_initial(ordinal, tag, route);
+  }
+  void begin_step(Time t) override { inner_.begin_step(t); }
+  void record_send(EdgeId e, std::uint64_t ordinal) override {
+    if (e == 0) pops.push_back(ordinal);
+    inner_.record_send(e, ordinal);
+  }
+  void record_absorb(std::uint64_t ordinal) override {
+    inner_.record_absorb(ordinal);
+  }
+  void record_reroute(std::uint64_t ordinal, RouteSpan suffix) override {
+    inner_.record_reroute(ordinal, suffix);
+  }
+  void record_inject(std::uint64_t ordinal, std::uint64_t tag,
+                     RouteSpan route) override {
+    inner_.record_inject(ordinal, tag, route);
+  }
+  void record_queue_depth(EdgeId e, std::size_t depth) override {
+    inner_.record_queue_depth(e, depth);
+  }
+
+  std::vector<std::uint64_t> pops;
+
+ private:
+  RunTraceWriter& inner_;
+};
+
+constexpr int kDeepQueue = 5000;
+constexpr Time kInjectUntil = 3000;
+constexpr Time kCut = 2500;
+
+/// Every third step a packet joins edge 0's queue.
+std::unique_ptr<ScriptedAdversary> deep_queue_script() {
+  auto script = std::make_unique<ScriptedAdversary>();
+  for (Time t = 3; t <= kInjectUntil; t += 3)
+    script->inject_at(t, t % 2 == 0 ? Route{0, 1} : Route{0, 1, 2},
+                      static_cast<std::uint64_t>(t));
+  return script;
+}
+
+struct DeepQueueRun {
+  std::uint64_t hash = 0;
+  std::vector<std::uint64_t> pops;
+};
+
+/// The deep-queue run, uninterrupted (cut = 0) or saved after `cut` steps
+/// and finished on a restored engine.
+DeepQueueRun run_deep_queue(const Protocol& protocol, Time cut) {
+  const Graph g = make_line(4);
+  RunTraceMeta meta;
+  meta.protocol = std::string(protocol.name());
+  RunTraceWriter writer(g, meta);
+  PopLog log(writer);
+  EngineConfig config;
+  config.sinks.trace = &log;
+  Engine first(g, protocol, config);
+  for (int i = 0; i < kDeepQueue; ++i)
+    first.add_initial_packet(i % 3 == 0 ? Route{0} : Route{0, 1, 2},
+                             static_cast<std::uint64_t>(i));
+  const std::unique_ptr<ScriptedAdversary> script_a = deep_queue_script();
+  DeepQueueRun out;
+  if (cut == 0) {
+    first.run(script_a.get(), kInjectUntil);
+    EXPECT_LT(first.drain(100000), Time{100000});
+    writer.finish(first.total_injected(), first.total_absorbed());
+    out.hash = writer.content_hash();
+    out.pops = log.pops;
+    return out;
+  }
+  first.run(script_a.get(), cut);
+  EXPECT_GT(first.queue_size(0), 1000u) << "the cut must be mid-drain";
+  std::stringstream buf;
+  save_checkpoint(first, buf);
+
+  RunTraceWriter rest(writer.resume_state());
+  PopLog rest_log(rest);
+  rest_log.pops = log.pops;
+  EngineConfig rest_config;
+  rest_config.sinks.trace = &rest_log;
+  Engine second(g, protocol, rest_config);
+  load_checkpoint(second, buf);
+  const std::unique_ptr<ScriptedAdversary> script_b = deep_queue_script();
+  second.run(script_b.get(), kInjectUntil - cut);
+  EXPECT_LT(second.drain(100000), Time{100000});
+  rest.finish(second.total_injected(), second.total_absorbed());
+  out.hash = rest.content_hash();
+  out.pops = rest_log.pops;
+  return out;
+}
+
+void expect_deep_queue_resumes(const Protocol& ring_protocol,
+                               const Protocol& heap_protocol) {
+  ASSERT_EQ(Buffer::layout_for(ring_protocol.key_rule()),
+            Buffer::Layout::kRing);
+  ASSERT_EQ(Buffer::layout_for(heap_protocol.key_rule()),
+            Buffer::Layout::kHeap);
+  const DeepQueueRun whole = run_deep_queue(ring_protocol, 0);
+  ASSERT_EQ(whole.pops.size(),
+            static_cast<std::size_t>(kDeepQueue + kInjectUntil / 3));
+  const DeepQueueRun resumed = run_deep_queue(ring_protocol, kCut);
+  EXPECT_EQ(resumed.hash, whole.hash);
+  EXPECT_EQ(resumed.pops, whole.pops);
+  const DeepQueueRun heap = run_deep_queue(heap_protocol, 0);
+  EXPECT_EQ(heap.hash, whole.hash);
+  EXPECT_EQ(heap.pops, whole.pops);
+}
+
+TEST(Checkpoint, DeepFifoQueueResumesMidDrain) {
+  FifoProtocol fifo;
+  LambdaProtocol fifo_heap(
+      "FIFO", true, true, [](const Packet&, Time, std::uint64_t seq) {
+        return PriorityKey{static_cast<std::int64_t>(seq), 0};
+      });
+  expect_deep_queue_resumes(fifo, fifo_heap);
+}
+
+TEST(Checkpoint, DeepLifoQueueResumesMidDrain) {
+  LifoProtocol lifo;
+  LambdaProtocol lifo_heap(
+      "LIFO", true, false, [](const Packet&, Time, std::uint64_t seq) {
+        return PriorityKey{-static_cast<std::int64_t>(seq), 0};
+      });
+  expect_deep_queue_resumes(lifo, lifo_heap);
 }
 
 }  // namespace

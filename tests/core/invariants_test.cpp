@@ -123,5 +123,19 @@ TEST(InvariantAuditorDeathTest, CatchesForgedSequenceNumber) {
   EXPECT_DEATH(eng.step(nullptr), "time-priority");
 }
 
+TEST(InvariantAuditorDeathTest, CatchesForgedSequenceNumberInADeepLifoRing) {
+  // LIFO buffers are key-sorted rings (buffer.hpp); the forged entry is
+  // re-pushed at the back of a 300-entry ring and must still be caught.
+  const Graph g = make_line(4);
+  LifoProtocol lifo;
+  ASSERT_EQ(Buffer::layout_for(lifo.key_rule()), Buffer::Layout::kRing);
+  Engine eng(g, lifo, audited());
+  for (int i = 0; i < 300; ++i) eng.add_initial_packet({0, 1});
+  eng.run(nullptr, 10);
+  EngineTamperer::scramble_buffer_seq(eng, 0);
+  EXPECT_EQ(eng.queue_size(0), 290u);
+  EXPECT_DEATH(eng.step(nullptr), "time-priority");
+}
+
 }  // namespace
 }  // namespace aqt

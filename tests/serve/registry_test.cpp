@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "aqt/core/buffer.hpp"
+#include "aqt/obs/registry.hpp"
 #include "aqt/runner/run_spec.hpp"
 #include "aqt/serve/registry.hpp"
 #include "aqt/serve/request.hpp"
@@ -81,6 +83,64 @@ TEST(ServeRegistry, ResolutionErrorsCarryStableCodes) {
   lps_wrong_n.adversary.kind = "lps";
   lps_wrong_n.adversary.r = Rat(7, 10);
   expect_compile_code(registry, lps_wrong_n, errc::kBadParam);
+}
+
+/// Value of a one-cell gauge in a metrics artifact.
+double gauge_value(const RunResult& result, const std::string& name) {
+  const obs::MetricRegistry::Family* fam = result.metrics.find(name);
+  EXPECT_NE(fam, nullptr) << name;
+  return fam == nullptr ? -1.0 : fam->cells.front().gauge.value();
+}
+
+TEST(ServeRegistry, BufferBytesGaugeTracksLivePacketsNotPeakQueues) {
+  // The Theorem 3.17 construction grows a 12.8k-packet queue and moves it
+  // along the chain; once it has moved on, the buffers it left must have
+  // given their capacity back.  Buffers above 64 slots keep at least a
+  // quarter of their slots live, so a few times the live bytes is the most
+  // the finished run may hold (the parent build held 5.0 MiB here, 40
+  // times the live bytes).
+  const RunRequest req = parse_run_request(
+      R"({"aqt_run_request": 1, "topology": "lps:9x8", "protocol": "FIFO",
+          "adversary": {"kind": "lps", "r": "7/10", "iterations": 2,
+                        "s_star": 800},
+          "steps": 2000000, "stop_when_finished": true,
+          "artifacts": ["metrics"]})",
+      "buffer-bytes");
+  const RunResult result = execute_run(Registry().compile(req));
+  ASSERT_TRUE(result.ok()) << result.error;
+  const double live = gauge_value(result, "aqt_in_flight");
+  const double bytes = gauge_value(result, "aqt_buffer_bytes");
+  EXPECT_GT(gauge_value(result, "aqt_max_queue_packets"), 12000.0);
+  EXPECT_GT(live, 4000.0);
+  EXPECT_GE(bytes, live * sizeof(BufferEntry));
+  EXPECT_LE(bytes, 4.0 * live * sizeof(BufferEntry))
+      << bytes << " bytes for " << live << " live packets";
+}
+
+TEST(ServeRegistry, AFailingCellNamesNoAbsoluteSourcePath) {
+  // A precondition that fails inside the run (FTG is not historic, so the
+  // construction's Lemma 3.3 reroutes are refused) is reported in
+  // RunResult::error, and so in canonical result bytes: it must name the
+  // source file relative to the source tree, so the bytes do not depend on
+  // where the binary was built.
+  RunRequest req = base_request();
+  req.topology = "lps:9x2";
+  req.protocol = "FTG";
+  req.adversary.kind = "lps";
+  req.adversary.r = Rat(7, 10);
+  req.adversary.iterations = 1;
+  req.adversary.s_star = 200;
+  req.steps = 20000;
+  const RunResult result = execute_run(Registry().compile(req));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("historic"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find(" at src/aqt/core/engine.cpp:"),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.error.find(AQT_SOURCE_DIR), std::string::npos)
+      << result.error;
+  EXPECT_EQ(canonical_result_json(result).find(AQT_SOURCE_DIR),
+            std::string::npos);
 }
 
 TEST(ServeRegistry, NamedRecipesResolveAndShowInCatalog) {

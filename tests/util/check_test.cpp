@@ -46,6 +46,19 @@ TEST(CheckTest, RequireMessageCarriesExpressionArgsAndLocation) {
   }
 }
 
+TEST(CheckTest, RequireNamesTheFileRelativeToTheSourceTree) {
+  // The message reaches RunResult::error and so canonical result bytes: it
+  // must not carry the build machine's absolute source directory.
+  try {
+    AQT_REQUIRE(false, "where");
+    FAIL() << "AQT_REQUIRE did not throw";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at tests/util/check_test.cpp:"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(CheckTest, RequireWithoutMessageOmitsSeparator) {
   try {
     AQT_REQUIRE(false);
@@ -68,6 +81,10 @@ TEST(CheckDeathTest, CheckDiagnosticIncludesStreamedMessage) {
 
 TEST(CheckDeathTest, CheckDiagnosticIncludesFileAndLine) {
   EXPECT_DEATH(AQT_CHECK(false, "where"), "check_test.cpp");
+}
+
+TEST(CheckDeathTest, CheckNamesTheFileRelativeToTheSourceTree) {
+  EXPECT_DEATH(AQT_CHECK(false, "where"), "at tests/util/check_test\\.cpp:");
 }
 
 }  // namespace
