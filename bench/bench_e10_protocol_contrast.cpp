@@ -39,12 +39,14 @@ int main() {
   Trace trace;
   Time duration = 0;
   {
+    ScheduleRecorder rec(trace);
+    EngineConfig ec;
+    ec.sinks.trace = &rec;
     FifoProtocol fifo;
-    Engine eng(net.graph, fifo);
+    Engine eng(net.graph, fifo, ec);
     setup_flat_queue(eng, net, 0, s_star);
     LpsAdversary adv(net, cfg, /*max_iterations=*/2);
-    RecordingAdversary rec(adv, trace);
-    while (!adv.finished(eng.now() + 1)) eng.step(&rec);
+    while (!adv.finished(eng.now() + 1)) eng.step(&adv);
     duration = eng.now();
   }
   std::cout << "recorded FIFO schedule: " << trace.injection_count()

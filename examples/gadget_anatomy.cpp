@@ -12,7 +12,6 @@
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/analysis/lps_math.hpp"
 #include "aqt/core/protocol.hpp"
-#include "aqt/core/probe.hpp"
 #include "aqt/core/rate_check.hpp"
 #include "aqt/util/cli.hpp"
 #include "aqt/util/table.hpp"
@@ -53,26 +52,29 @@ int main(int argc, char** argv) {
   std::cout << "Predicted cascade (Claims 3.9 and 3.11):\n\n"
             << theory << "\n";
 
-  // The simulation side, with a per-edge probe on the e'-path so the
-  // Claim 3.11 buffer floors Q_i can be read off at exactly time 2S + i.
+  // The simulation side, reading the e'-path buffers as the run passes
+  // time 2S + i, where Claim 3.11 puts the buffer floor Q_i of e'_i.
   FifoProtocol fifo;
   EngineConfig ec;
   ec.audit_rates = true;
   Engine eng(net.graph, fifo, ec);
   setup_gadget_invariant(eng, net, 0, S);
-  QueueProbe probe(eng, net.gadgets[1].e_path);
+  const std::vector<EdgeId>& e_path = net.gadgets[1].e_path;
+  std::vector<std::size_t> q(e_path.size());
   LpsHandoff phase(net, cfg, 0);
   while (!phase.finished(eng.now() + 1)) {
     eng.step(&phase);
-    probe.sample();
+    const Time i = eng.now() - 2 * S;
+    if (i >= 1 && i <= cfg.n)
+      q[static_cast<std::size_t>(i - 1)] =
+          eng.queue_size(e_path[static_cast<std::size_t>(i - 1)]);
   }
 
   Table cascade({"i", "Q_i predicted", "queue of e'_i at 2S+i"});
   for (std::int64_t i = 1; i <= cfg.n; ++i) {
     cascade.rowv(static_cast<long long>(i),
                  Table::cell(lps_Q(static_cast<double>(S), rd, i), 1),
-                 static_cast<long long>(
-                     probe.at(static_cast<std::size_t>(i - 1), 2 * S + i)));
+                 static_cast<long long>(q[static_cast<std::size_t>(i - 1)]));
   }
   std::cout << "Measured cascade (Claim 3.11 floors):\n\n" << cascade
             << "\n";

@@ -92,12 +92,9 @@ PacketId Engine::add_initial_packet(const Route& route, std::uint64_t tag) {
   AQT_REQUIRE(ref.has_value(), "initial packet route is not a simple path");
   const PacketId id = arena_.create(*ref, /*inject_time=*/0, tag);
   enqueue(id, /*t=*/0);
-  const std::uint64_t ordinal = arena_.meta(id).ordinal;
   if (config_.sinks.trace)
-    config_.sinks.trace->record_initial(ordinal, tag, arena_[id].route);
-  if (config_.sinks.events)
-    config_.sinks.events->on_inject(0, ordinal, tag, arena_[id].route,
-                                    /*initial=*/true);
+    config_.sinks.trace->record_initial(arena_.meta(id).ordinal, tag,
+                                        arena_[id].route);
   // The initial configuration is part of the observable state at time 0.
   const EdgeId e = arena_[id].route[0];
   metrics_.observe_queue(e, buffers_[e].size());
@@ -180,12 +177,8 @@ void Engine::enqueue(PacketId id, Time t) {
 void Engine::absorb(PacketId id, Time t) {
   const Packet& p = arena_[id];
   metrics_.observe_absorb(t - p.inject_time);
-  if (config_.sinks.trace != nullptr || config_.sinks.events != nullptr) {
-    const std::uint64_t ordinal = arena_.meta(id).ordinal;
-    if (config_.sinks.trace) config_.sinks.trace->record_absorb(ordinal);
-    if (config_.sinks.events)
-      config_.sinks.events->on_absorb(t, ordinal, t - p.inject_time);
-  }
+  if (config_.sinks.trace)
+    config_.sinks.trace->record_absorb(arena_.meta(id).ordinal);
   // Initial-configuration packets (inject_time 0) are not adversary
   // injections; rate constraints (and Observation 4.4) treat them
   // separately, so the audit records only packets injected at steps >= 1.
@@ -236,14 +229,8 @@ std::optional<RouteRef> Engine::intern_route(const Route& route) {
 void Engine::apply_injection_ref(RouteRef route, std::uint64_t tag, Time t) {
   const PacketId id = arena_.create(route, t, tag);
   enqueue(id, t);
-  if (config_.sinks.trace != nullptr || config_.sinks.events != nullptr) {
-    const std::uint64_t ordinal = arena_.meta(id).ordinal;
-    if (config_.sinks.trace)
-      config_.sinks.trace->record_inject(ordinal, tag, route);
-    if (config_.sinks.events)
-      config_.sinks.events->on_inject(t, ordinal, tag, route,
-                                      /*initial=*/false);
-  }
+  if (config_.sinks.trace)
+    config_.sinks.trace->record_inject(arena_.meta(id).ordinal, tag, route);
 }
 
 template <typename InjectBody>
@@ -266,8 +253,7 @@ void Engine::step_body(bool has_inject, InjectBody&& inject_body) {
     PhaseScope phase(brackets, StepPhase::kTransmit);
     phase_mask |= 1u << static_cast<unsigned>(StepPhase::kTransmit);
     sent_.clear();
-    const bool emit_send =
-        config_.sinks.trace != nullptr || config_.sinks.events != nullptr;
+    RunTraceSink* const trace = config_.sinks.trace;
     for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
       std::uint64_t w = active_words_[wi];
       while (w != 0) {
@@ -278,15 +264,8 @@ void Engine::step_body(bool has_inject, InjectBody&& inject_body) {
         Buffer& buf = buffers_[e];
         const BufferEntry entry = buf.pop_min();
         sent_.push_back(entry.packet);
-        if (emit_send) [[unlikely]] {
-          const Packet& p = arena_[entry.packet];
-          const std::uint64_t ordinal = arena_.meta(entry.packet).ordinal;
-          if (config_.sinks.trace)
-            config_.sinks.trace->record_send(e, ordinal);
-          if (config_.sinks.events)
-            config_.sinks.events->on_send(t, e, ordinal, p.hop,
-                                          t - p.arrival_time);
-        }
+        if (trace != nullptr) [[unlikely]]
+          trace->record_send(e, arena_.meta(entry.packet).ordinal);
         if (buf.empty()) clear_active_bit(e);
       }
     }

@@ -52,7 +52,6 @@
 namespace aqt {
 
 class InvariantAuditor;
-class PacketEventSink;
 class RunTraceSink;
 class StepPhaseSink;
 class StepSampleSink;
@@ -65,12 +64,15 @@ class StepSampleSink;
 /// (The fourth observer, the step-level invariant auditor, is engine-owned
 /// and stays a value knob: EngineConfig::audit_invariants.)
 struct EngineSinks {
-  /// Run-trace evidence writer (trace_sink.hpp).  When set, the engine
-  /// emits a record for every observable event — initial packets, sends,
-  /// absorptions, reroutes, injections, end-of-step queue depths — so an
-  /// independent offline verifier (aqt-verify) can re-derive every model
-  /// rule from the recorded run.  The caller finalizes it (e.g.
-  /// RunTraceWriter::finish) after the run.
+  /// The engine's one packet-event channel (trace_sink.hpp).  When set,
+  /// the engine emits a record for every observable event — initial
+  /// packets, sends, absorptions, reroutes, injections, end-of-step queue
+  /// depths.  The run-trace writer turns them into evidence an independent
+  /// offline verifier (aqt-verify) re-derives every model rule from, the
+  /// obs layer's JsonlEventWriter into machine-readable JSONL, and the
+  /// trace layer's ScheduleRecorder into a replayable adversary schedule;
+  /// obs::RunTraceFanout feeds several at once.  The caller finalizes a
+  /// writer (e.g. RunTraceWriter::finish) after the run.
   RunTraceSink* trace = nullptr;
 
   /// Step-phase profiler (obs_sink.hpp).  When set, the engine reports the
@@ -79,11 +81,6 @@ struct EngineSinks {
   /// branch per phase boundary — near-zero, guarded by the tests/obs
   /// overhead test.
   StepPhaseSink* profile = nullptr;
-
-  /// Packet-lifecycle sink (obs_sink.hpp).  When set, the engine reports
-  /// every injection, per-hop send, and absorption — the stream the obs
-  /// layer's JsonlEventWriter turns into machine-readable JSONL.
-  PacketEventSink* events = nullptr;
 
   /// End-of-step sample sink (obs_sink.hpp).  When set, the engine hands
   /// over one StepSample per step — the hook the obs layer's
@@ -125,8 +122,6 @@ struct EngineConfig {
   bool compile_schedules = true;
 
   /// All borrowed observer sinks, as one aggregate (see EngineSinks).
-  /// (The old per-sink alias fields — record_trace / profile /
-  /// record_events — are gone, so any use of them fails to compile.)
   EngineSinks sinks;
 };
 

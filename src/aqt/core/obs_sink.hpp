@@ -2,12 +2,13 @@
 //
 // Two borrowed sinks, following the pattern of trace_sink.hpp: core defines
 // the pure interfaces and calls them when configured; the concrete
-// implementations (the wall-clock step-phase profiler and the JSONL
-// packet-lifecycle event writer) live in the obs layer, which links core —
-// never the reverse.  Both sinks are write-only observers: they may not
-// influence the simulation, so enabling them must never change a run
-// (aqt-fuzz cross-checks this by comparing run-trace content hashes with
-// observability on and off).
+// implementations (the wall-clock step-phase profiler, the time-series
+// recorder and the stability watchdog) live in the obs layer, which links
+// core — never the reverse.  (Packet events reach the obs layer's JSONL
+// writer through trace_sink.hpp.)  Both sinks are write-only observers:
+// they may not influence the simulation, so enabling them must never change
+// a run (aqt-fuzz cross-checks this by comparing run-trace content hashes
+// with observability on and off).
 //
 // When a sink pointer is null the per-step cost is one predictable branch
 // per call site — the "near-zero when off" contract the profiler-overhead
@@ -89,28 +90,6 @@ class StepSampleSink {
   virtual ~StepSampleSink() = default;
 
   virtual void on_step(const StepSample& sample, const Engine& engine) = 0;
-};
-
-/// Receives the packet lifecycle: injection (initial configuration or
-/// adversary), every per-hop transmission, and absorption.  Packets are
-/// identified by creation ordinal (protocol-independent, slot-reuse-proof),
-/// exactly as in run traces.
-class PacketEventSink {
- public:
-  virtual ~PacketEventSink() = default;
-
-  /// A packet entered the network: `initial` distinguishes the time-0
-  /// initial configuration from adversary injections (t >= 1).
-  virtual void on_inject(Time t, std::uint64_t ordinal, std::uint64_t tag,
-                         RouteSpan route, bool initial) = 0;
-
-  /// The buffer of `e` forwarded the packet; `hop` is the 0-based index of
-  /// `e` in its route, `residence` the steps spent waiting in e's buffer.
-  virtual void on_send(Time t, EdgeId e, std::uint64_t ordinal,
-                       std::size_t hop, Time residence) = 0;
-
-  /// The packet completed its route; `latency` is end-to-end in steps.
-  virtual void on_absorb(Time t, std::uint64_t ordinal, Time latency) = 0;
 };
 
 }  // namespace aqt

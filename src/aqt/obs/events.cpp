@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 
+#include "aqt/core/engine.hpp"
 #include "aqt/util/check.hpp"
 #include "aqt/util/json.hpp"
 
@@ -76,10 +77,29 @@ ObsEvent parse_line(const std::string& line, const std::string& where) {
 JsonlEventWriter::JsonlEventWriter(std::ostream& os, const Graph& graph)
     : os_(os), graph_(graph) {}
 
-void JsonlEventWriter::on_inject(Time t, std::uint64_t ordinal,
-                                 std::uint64_t tag, RouteSpan route,
-                                 bool initial) {
-  os_ << "{\"ev\":\"inject\",\"t\":" << t << ",\"packet\":" << ordinal
+void JsonlEventWriter::resume_from(const Engine& engine) {
+  now_ = engine.now();
+  live_.clear();
+  engine.arena().for_each_live(
+      [&](PacketId, const Packet& p, const PacketMeta& meta) {
+        live_[meta.ordinal] = Live{p.inject_time, p.arrival_time, p.hop};
+      });
+}
+
+void JsonlEventWriter::record_initial(std::uint64_t ordinal,
+                                      std::uint64_t tag, RouteSpan route) {
+  inject(ordinal, tag, route, /*initial=*/true);
+}
+
+void JsonlEventWriter::record_inject(std::uint64_t ordinal, std::uint64_t tag,
+                                     RouteSpan route) {
+  inject(ordinal, tag, route, /*initial=*/false);
+}
+
+void JsonlEventWriter::inject(std::uint64_t ordinal, std::uint64_t tag,
+                              RouteSpan route, bool initial) {
+  live_[ordinal] = Live{now_, now_, 0};
+  os_ << "{\"ev\":\"inject\",\"t\":" << now_ << ",\"packet\":" << ordinal
       << ",\"tag\":" << tag << ",\"initial\":" << (initial ? "true" : "false")
       << ",\"route\":[";
   for (std::size_t i = 0; i < route.size(); ++i) {
@@ -90,17 +110,21 @@ void JsonlEventWriter::on_inject(Time t, std::uint64_t ordinal,
   ++lines_;
 }
 
-void JsonlEventWriter::on_send(Time t, EdgeId e, std::uint64_t ordinal,
-                               std::size_t hop, Time residence) {
-  os_ << "{\"ev\":\"send\",\"t\":" << t << ",\"packet\":" << ordinal
+void JsonlEventWriter::record_send(EdgeId e, std::uint64_t ordinal) {
+  Live& p = live_.at(ordinal);
+  os_ << "{\"ev\":\"send\",\"t\":" << now_ << ",\"packet\":" << ordinal
       << ",\"edge\":\"" << json_escape_string(graph_.edge(e).name)
-      << "\",\"hop\":" << hop << ",\"residence\":" << residence << "}\n";
+      << "\",\"hop\":" << p.hop << ",\"residence\":" << now_ - p.arrived
+      << "}\n";
+  ++p.hop;
+  p.arrived = now_;
   ++lines_;
 }
 
-void JsonlEventWriter::on_absorb(Time t, std::uint64_t ordinal, Time latency) {
-  os_ << "{\"ev\":\"absorb\",\"t\":" << t << ",\"packet\":" << ordinal
-      << ",\"latency\":" << latency << "}\n";
+void JsonlEventWriter::record_absorb(std::uint64_t ordinal) {
+  os_ << "{\"ev\":\"absorb\",\"t\":" << now_ << ",\"packet\":" << ordinal
+      << ",\"latency\":" << now_ - live_.at(ordinal).injected << "}\n";
+  live_.erase(ordinal);
   ++lines_;
 }
 
@@ -108,6 +132,48 @@ void JsonlEventWriter::milestone(Time t, const std::string& name) {
   os_ << "{\"ev\":\"milestone\",\"t\":" << t << ",\"name\":\""
       << json_escape_string(name) << "\"}\n";
   ++lines_;
+}
+
+RunTraceFanout& RunTraceFanout::add(RunTraceSink* sink) {
+  if (sink != nullptr) sinks_.push_back(sink);
+  return *this;
+}
+
+RunTraceSink* RunTraceFanout::as_sink() {
+  if (sinks_.empty()) return nullptr;
+  if (sinks_.size() == 1) return sinks_.front();
+  return this;
+}
+
+void RunTraceFanout::record_initial(std::uint64_t ordinal, std::uint64_t tag,
+                                    RouteSpan route) {
+  for (RunTraceSink* s : sinks_) s->record_initial(ordinal, tag, route);
+}
+
+void RunTraceFanout::begin_step(Time t) {
+  for (RunTraceSink* s : sinks_) s->begin_step(t);
+}
+
+void RunTraceFanout::record_send(EdgeId e, std::uint64_t ordinal) {
+  for (RunTraceSink* s : sinks_) s->record_send(e, ordinal);
+}
+
+void RunTraceFanout::record_absorb(std::uint64_t ordinal) {
+  for (RunTraceSink* s : sinks_) s->record_absorb(ordinal);
+}
+
+void RunTraceFanout::record_reroute(std::uint64_t ordinal,
+                                    RouteSpan new_suffix) {
+  for (RunTraceSink* s : sinks_) s->record_reroute(ordinal, new_suffix);
+}
+
+void RunTraceFanout::record_inject(std::uint64_t ordinal, std::uint64_t tag,
+                                   RouteSpan route) {
+  for (RunTraceSink* s : sinks_) s->record_inject(ordinal, tag, route);
+}
+
+void RunTraceFanout::record_queue_depth(EdgeId e, std::size_t depth) {
+  for (RunTraceSink* s : sinks_) s->record_queue_depth(e, depth);
 }
 
 std::vector<ObsEvent> parse_jsonl_events(std::istream& is,

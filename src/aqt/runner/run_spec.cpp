@@ -56,7 +56,7 @@ void run_cell(const RunSpec& spec, const RunObservers& observers,
               "RunSpec '" << result.name << "' needs steps >= 1");
   EngineConfig ec = spec.engine;
   AQT_REQUIRE(ec.sinks.trace == nullptr && ec.sinks.profile == nullptr &&
-                  ec.sinks.events == nullptr && ec.sinks.samples == nullptr,
+                  ec.sinks.samples == nullptr,
               "RunSpec carries value configuration only; observer sinks are "
               "created per cell by the runner");
 
@@ -142,8 +142,13 @@ void run_cell(const RunSpec& spec, const RunObservers& observers,
     }
     ec.sinks.trace = &*writer;
   }
+  // The JSONL writer reads the same records; a job without it keeps its
+  // trace writer attached directly.
+  obs::RunTraceFanout trace_sinks;
+  if (observers.events != nullptr)
+    ec.sinks.trace =
+        trace_sinks.add(ec.sinks.trace).add(observers.events).as_sink();
   ec.sinks.profile = observers.phases;
-  ec.sinks.events = observers.events;
   ec.sinks.samples = observers.samples;
 
   Engine eng(graph, *protocol, ec);
@@ -154,6 +159,7 @@ void run_cell(const RunSpec& spec, const RunObservers& observers,
                 "job checkpoint '" << rc.resume_from << "': engine clock "
                                    << eng.now() << " != steps-done "
                                    << cp.steps_done);
+    if (observers.events != nullptr) observers.events->resume_from(eng);
   } else if (spec.setup) {
     // Initial configuration only for fresh runs; a resumed engine already
     // carries it inside the restored state.

@@ -226,7 +226,9 @@ struct RunResult {
 /// EngineSinks they are write-only, so observing a run never changes it.
 struct RunObservers {
   StepPhaseSink* phases = nullptr;          ///< EngineSinks::profile.
-  obs::JsonlEventWriter* events = nullptr;  ///< Packet events + milestones.
+  /// Packet events + milestones; rides EngineSinks::trace beside the run
+  /// trace writer.
+  obs::JsonlEventWriter* events = nullptr;
   StepSampleSink* samples = nullptr;        ///< EngineSinks::samples.
   /// Receives the run trace bytes (the hash in RunResult::trace_hash is
   /// taken over them); null keeps the writer hash-only.

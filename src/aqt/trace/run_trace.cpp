@@ -449,6 +449,34 @@ RunTrace parse_run_trace_file(const std::string& path) {
   return parse_run_trace(in, path);
 }
 
+void replay_records(const RunTrace& trace, RunTraceSink& sink) {
+  for (const RunRecord& r : trace.records) {
+    switch (r.kind) {
+      case RunRecord::Kind::kInitial:
+        sink.record_initial(r.ordinal, r.tag, r.edges);
+        break;
+      case RunRecord::Kind::kStep:
+        sink.begin_step(r.t);
+        break;
+      case RunRecord::Kind::kSend:
+        sink.record_send(r.edge, r.ordinal);
+        break;
+      case RunRecord::Kind::kAbsorb:
+        sink.record_absorb(r.ordinal);
+        break;
+      case RunRecord::Kind::kReroute:
+        sink.record_reroute(r.ordinal, r.edges);
+        break;
+      case RunRecord::Kind::kInject:
+        sink.record_inject(r.ordinal, r.tag, r.edges);
+        break;
+      case RunRecord::Kind::kQueue:
+        sink.record_queue_depth(r.edge, static_cast<std::size_t>(r.depth));
+        break;
+    }
+  }
+}
+
 std::string fnv1a_hex(std::istream& is) {
   Fnv1a hash;
   char buf[4096];

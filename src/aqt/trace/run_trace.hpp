@@ -1,11 +1,11 @@
 // Versioned, self-describing run traces — the evidence format aqt-verify
 // checks.
 //
-// Unlike the adversary Trace (trace.hpp), which records only what the
-// adversary *asked for*, a run trace records what the engine actually
-// *did*: the initial configuration, every per-edge transmission, every
-// absorption, every applied reroute and injection, and the end-of-step
-// depth of every nonempty buffer.  The header carries everything needed to
+// Unlike the adversary Trace (trace.hpp), which holds only the adversary's
+// schedule, a run trace records everything the engine *did*: the initial
+// configuration, every per-edge transmission, every absorption, every
+// applied reroute and injection, and the end-of-step depth of every
+// nonempty buffer.  The header carries everything needed to
 // interpret the records without the originating process — format version,
 // protocol name, RNG seed, scenario digest, declared (w, r) / rate-r
 // constraints, and the full node/edge tables of the network — so a
@@ -206,6 +206,12 @@ struct RunTrace {
 /// behind a parse failure.
 RunTrace parse_run_trace(std::istream& is, const std::string& name);
 RunTrace parse_run_trace_file(const std::string& path);
+
+/// Feeds the records of a parsed trace to `sink` in recorded order, as the
+/// engine emitted them: a ScheduleRecorder (trace.hpp) rebuilds the
+/// adversary schedule from the J and R records, a JSONL event writer the
+/// run's packet events.
+void replay_records(const RunTrace& trace, RunTraceSink& sink);
 
 /// FNV-1a digest of a whole stream/file, as 16 lowercase hex digits; used
 /// for the scenario digest recorded in trace headers.

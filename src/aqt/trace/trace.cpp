@@ -1,8 +1,5 @@
 #include "aqt/trace/trace.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "aqt/core/engine.hpp"
 #include "aqt/util/check.hpp"
 
@@ -32,95 +29,16 @@ void Trace::record_reroute(Time t, std::uint64_t target_ordinal,
   last_time_ = t;
 }
 
-void Trace::save(std::ostream& os, const Graph& graph) const {
-  for (const TraceEvent& ev : events_) {
-    if (ev.kind == TraceEvent::Kind::kInjection) {
-      os << "I " << ev.t << ' ' << ev.tag;
-    } else {
-      os << "R " << ev.t << ' ' << ev.ordinal;
-    }
-    for (EdgeId e : ev.edges) os << ' ' << graph.edge(e).name;
-    os << '\n';
-  }
+void ScheduleRecorder::record_reroute(std::uint64_t ordinal,
+                                      RouteSpan new_suffix) {
+  trace_.record_reroute(now_, ordinal,
+                        Route(new_suffix.begin(), new_suffix.end()));
 }
 
-void Trace::save_file(const std::string& path, const Graph& graph) const {
-  std::ofstream out(path);
-  AQT_REQUIRE(static_cast<bool>(out), "cannot open " << path);
-  save(out, graph);
-}
-
-Trace Trace::load(std::istream& is, const Graph& graph) {
-  // Hardened against untrusted input: every malformed, truncated, or
-  // unresolvable line is rejected with a PreconditionError naming the line
-  // — including the cases (unknown edge, time regression) that would
-  // otherwise surface as context-free errors from deeper layers.
-  Trace trace;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    char kind = 0;
-    Time t = 0;
-    std::uint64_t id = 0;
-    ls >> kind >> t >> id;
-    AQT_REQUIRE(ls && (kind == 'I' || kind == 'R'),
-                "malformed trace line " << line_no << ": " << line);
-    AQT_REQUIRE(t >= 0, "negative event time at line " << line_no << ": "
-                                                       << line);
-    AQT_REQUIRE(t >= trace.last_time(),
-                "time regression at line " << line_no << ": t=" << t
-                                           << " after t="
-                                           << trace.last_time());
-    Route edges;
-    std::string name;
-    while (ls >> name) {
-      const auto e = graph.find_edge(name);
-      AQT_REQUIRE(e.has_value(), "unknown edge '"
-                                     << name << "' at line " << line_no
-                                     << ": " << line);
-      edges.push_back(*e);
-    }
-    if (kind == 'I') {
-      AQT_REQUIRE(!edges.empty(), "injection without route at line "
-                                      << line_no);
-      trace.record_injection(t, Injection{std::move(edges), id});
-    } else {
-      trace.record_reroute(t, id, edges);
-    }
-  }
-  return trace;
-}
-
-Trace Trace::load_file(const std::string& path, const Graph& graph) {
-  std::ifstream in(path);
-  AQT_REQUIRE(static_cast<bool>(in), "cannot open " << path);
-  return load(in, graph);
-}
-
-RecordingAdversary::RecordingAdversary(Adversary& inner, Trace& out)
-    : inner_(inner), trace_(out) {}
-
-void RecordingAdversary::step(Time now, const Engine& engine,
-                              AdversaryStep& out) {
-  const std::size_t inj_before = out.injections.size();
-  const std::size_t rr_before = out.reroutes.size();
-  inner_.step(now, engine, out);
-  // Record reroutes first to mirror the engine's application order
-  // (reroutes are applied before injections within a step).
-  for (std::size_t i = rr_before; i < out.reroutes.size(); ++i) {
-    const Reroute& rr = out.reroutes[i];
-    trace_.record_reroute(now, engine.packet_meta(rr.packet).ordinal,
-                          rr.new_suffix);
-  }
-  for (std::size_t i = inj_before; i < out.injections.size(); ++i)
-    trace_.record_injection(now, out.injections[i]);
-}
-
-bool RecordingAdversary::finished(Time now) const {
-  return inner_.finished(now);
+void ScheduleRecorder::record_inject(std::uint64_t, std::uint64_t tag,
+                                     RouteSpan route) {
+  trace_.record_injection(now_,
+                          Injection{Route(route.begin(), route.end()), tag});
 }
 
 ReplayAdversary::ReplayAdversary(const Trace& trace) : trace_(trace) {}

@@ -1,11 +1,13 @@
-// Adversary traces: record, persist, and replay injection schedules.
+// Adversary schedules: record and replay injection/reroute sequences.
 //
-// A trace captures everything an adversary did — timed injections and
+// A Trace captures everything an adversary did — timed injections and
 // reroutes — in a protocol-independent form.  Packets are identified by
 // their *creation ordinal* (the n-th packet ever injected), not by
 // PacketId, because slot reuse makes ids depend on absorption order and
-// hence on the protocol.  Edges are persisted by name so saved traces
-// survive graph rebuilds.
+// hence on the protocol.  ScheduleRecorder fills one from the engine's
+// record stream (the J and R records of a run trace); scenario files and
+// Observation 4.4's rescheduling build one directly.  A schedule persists
+// as a run trace (run_trace.hpp), whose J and R records rebuild it.
 //
 // Replaying a trace against a different protocol answers the question the
 // E10 experiment poses: "what does this exact injection sequence do to
@@ -15,12 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "aqt/core/adversary.hpp"
-#include "aqt/core/graph.hpp"
+#include "aqt/core/trace_sink.hpp"
 #include "aqt/core/types.hpp"
 
 namespace aqt {
@@ -52,38 +52,34 @@ class Trace {
   /// Number of injection events.
   [[nodiscard]] std::uint64_t injection_count() const { return injections_; }
 
-  /// Serializes as a line-oriented text format:
-  ///   I <t> <tag> <edge> [<edge> ...]
-  ///   R <t> <ordinal> [<edge> ...]
-  /// Edge ids are written as edge names (graph-portable).
-  void save(std::ostream& os, const Graph& graph) const;
-  void save_file(const std::string& path, const Graph& graph) const;
-
-  /// Parses the text format back; edge names are resolved against `graph`.
-  /// Hardened for untrusted input: malformed or truncated lines, unknown
-  /// edges, negative times, and time regressions all throw
-  /// PreconditionError with the offending line number (never abort).
-  static Trace load(std::istream& is, const Graph& graph);
-  static Trace load_file(const std::string& path, const Graph& graph);
-
  private:
   std::vector<TraceEvent> events_;
   std::uint64_t injections_ = 0;
   Time last_time_ = 0;
 };
 
-/// Wraps another adversary and records everything it emits.
-class RecordingAdversary final : public Adversary {
+/// Records the schedule the engine applies — every injection and reroute,
+/// at the step it happened — into a Trace.  Attach as EngineSinks::trace
+/// (beside a run-trace writer through obs::RunTraceFanout); the initial
+/// configuration, sends, absorptions and queue depths are not part of a
+/// schedule.
+class ScheduleRecorder final : public RunTraceSink {
  public:
-  /// Both the inner adversary and the trace are borrowed.
-  RecordingAdversary(Adversary& inner, Trace& out);
+  /// Borrows `out`, which must outlive the recorder.
+  explicit ScheduleRecorder(Trace& out) : trace_(out) {}
 
-  void step(Time now, const Engine& engine, AdversaryStep& out) override;
-  [[nodiscard]] bool finished(Time now) const override;
+  void record_initial(std::uint64_t, std::uint64_t, RouteSpan) override {}
+  void begin_step(Time t) override { now_ = t; }
+  void record_send(EdgeId, std::uint64_t) override {}
+  void record_absorb(std::uint64_t) override {}
+  void record_reroute(std::uint64_t ordinal, RouteSpan new_suffix) override;
+  void record_inject(std::uint64_t ordinal, std::uint64_t tag,
+                     RouteSpan route) override;
+  void record_queue_depth(EdgeId, std::size_t) override {}
 
  private:
-  Adversary& inner_;
   Trace& trace_;
+  Time now_ = 0;
 };
 
 /// Replays a trace verbatim (injections) and best-effort (reroutes: targets

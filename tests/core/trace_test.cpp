@@ -1,15 +1,21 @@
-// Tests for the trace record / persist / replay subsystem.
+// Tests for adversary schedules: recording from the engine's record
+// stream, persisting as a run trace, and replaying.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/adversaries/scripted.hpp"
 #include "aqt/core/engine.hpp"
 #include "aqt/core/protocol.hpp"
+#include "aqt/obs/events.hpp"
 #include "aqt/topology/generators.hpp"
+#include "aqt/trace/run_trace.hpp"
 #include "aqt/trace/trace.hpp"
 #include "aqt/util/check.hpp"
+#include "aqt/util/hash.hpp"
 
 namespace aqt {
 namespace {
@@ -33,78 +39,52 @@ TEST(Trace, RejectsTimeRegression) {
                PreconditionError);
 }
 
-TEST(Trace, SaveLoadRoundtrip) {
-  const Graph g = make_line(4);
-  Trace trace;
-  trace.record_injection(1, Injection{{0, 1, 2}, 9});
-  trace.record_reroute(3, 0, {3});
-  trace.record_injection(4, Injection{{2}, 0});
-
-  std::stringstream buf;
-  trace.save(buf, g);
-  const Trace loaded = Trace::load(buf, g);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded.events()[i].kind, trace.events()[i].kind) << i;
-    EXPECT_EQ(loaded.events()[i].t, trace.events()[i].t) << i;
-    EXPECT_EQ(loaded.events()[i].tag, trace.events()[i].tag) << i;
-    EXPECT_EQ(loaded.events()[i].ordinal, trace.events()[i].ordinal) << i;
-    EXPECT_EQ(loaded.events()[i].edges, trace.events()[i].edges) << i;
-  }
-}
-
-TEST(Trace, LoadSkipsCommentsAndBlankLines) {
-  const Graph g = make_line(2);
-  std::stringstream buf("# a comment\n\nI 3 7 l0 l1\n");
-  const Trace t = Trace::load(buf, g);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.events()[0].t, 3);
-  EXPECT_EQ(t.events()[0].tag, 7u);
-}
-
-TEST(Trace, LoadRejectsGarbage) {
-  const Graph g = make_line(2);
-  std::stringstream bad_kind("X 1 0 l0\n");
-  EXPECT_THROW((void)Trace::load(bad_kind, g), PreconditionError);
-  std::stringstream bad_edge("I 1 0 nosuch\n");
-  EXPECT_THROW((void)Trace::load(bad_edge, g), PreconditionError);
-  std::stringstream no_route("I 1 0\n");
-  EXPECT_THROW((void)Trace::load(no_route, g), PreconditionError);
-}
-
-TEST(Trace, LoadRejectsNegativeAndRegressingTimes) {
-  const Graph g = make_line(2);
-  std::stringstream negative("I -1 0 l0\n");
-  EXPECT_THROW((void)Trace::load(negative, g), PreconditionError);
-  std::stringstream regressing("I 5 0 l0\nI 4 0 l0\n");
-  EXPECT_THROW((void)Trace::load(regressing, g), PreconditionError);
-}
-
-TEST(Trace, LoadRejectsTruncatedAndOverflowingFields) {
-  const Graph g = make_line(2);
-  std::stringstream half_line("I 1\n");
-  EXPECT_THROW((void)Trace::load(half_line, g), PreconditionError);
-  std::stringstream overflow("I 99999999999999999999999 0 l0\n");
-  EXPECT_THROW((void)Trace::load(overflow, g), PreconditionError);
-  std::stringstream bad_reroute("R 1\n");
-  EXPECT_THROW((void)Trace::load(bad_reroute, g), PreconditionError);
-}
-
-TEST(Trace, RecordingWrapsAnotherAdversary) {
-  const Graph g = make_line(3);
+/// One Lemma 3.6 hand-off under FIFO from C(200, F) with `sink` attached;
+/// returns the steps it took.
+Time run_handoff(const ChainedGadgets& net, const LpsConfig& cfg,
+                 RunTraceSink& sink) {
+  EngineConfig ec;
+  ec.sinks.trace = &sink;
   FifoProtocol fifo;
-  Engine eng(g, fifo);
-  ScriptedAdversary inner;
-  inner.inject_at(1, {0, 1}, 4);
-  inner.inject_at(3, {2}, 5);
+  Engine eng(net.graph, fifo, ec);
+  setup_gadget_invariant(eng, net, 0, 200);
+  LpsHandoff phase(net, cfg, 0);
+  while (!phase.finished(eng.now() + 1)) eng.step(&phase);
+  return eng.now();
+}
+
+LpsConfig handoff_config() {
+  LpsConfig cfg = make_lps_config(Rat(7, 10));
+  cfg.enforce_s0 = false;
+  return cfg;
+}
+
+TEST(Trace, RecordedLpsScheduleReplaysToTheSameTraceHash) {
+  // The recorder rides the engine's record stream beside the run-trace
+  // writer; replaying what it recorded under FIFO reproduces the run
+  // record for record, reroutes included.
+  const LpsConfig cfg = handoff_config();
+  const ChainedGadgets net = build_chain(cfg.n, 2);
   Trace trace;
-  RecordingAdversary rec(inner, trace);
-  eng.run(&rec, 4);
-  EXPECT_EQ(trace.injection_count(), 2u);
-  EXPECT_EQ(trace.events()[0].t, 1);
-  EXPECT_EQ(trace.events()[0].tag, 4u);
-  EXPECT_EQ(trace.events()[1].t, 3);
-  EXPECT_TRUE(rec.finished(5));
+  ScheduleRecorder rec(trace);
+  RunTraceWriter original(net.graph, RunTraceMeta{});
+  obs::RunTraceFanout both;
+  both.add(&original).add(&rec);
+  const Time duration = run_handoff(net, cfg, *both.as_sink());
+  ASSERT_GT(trace.size(), trace.injection_count()) << "no reroute recorded";
+
+  RunTraceWriter replayed(net.graph, RunTraceMeta{});
+  EngineConfig ec;
+  ec.sinks.trace = &replayed;
+  FifoProtocol fifo;
+  Engine eng(net.graph, fifo, ec);
+  setup_gadget_invariant(eng, net, 0, 200);
+  ReplayAdversary replay(trace);
+  eng.run(&replay, duration);
+  EXPECT_EQ(replay.skipped_reroutes(), 0u);
+  EXPECT_TRUE(replay.finished(eng.now() + 1));
+  EXPECT_EQ(hash_hex(replayed.content_hash()),
+            hash_hex(original.content_hash()));
 }
 
 TEST(Trace, ReplayReproducesIdenticalRun) {
@@ -112,16 +92,22 @@ TEST(Trace, ReplayReproducesIdenticalRun) {
   // Record a run.
   Trace trace;
   {
+    ScheduleRecorder rec(trace);
+    EngineConfig ec;
+    ec.sinks.trace = &rec;
     FifoProtocol fifo;
-    Engine eng(g, fifo);
+    Engine eng(g, fifo, ec);
     ScriptedAdversary inner;
     inner.inject_at(1, {g.edge_by_name("h0_0"), g.edge_by_name("h0_1")}, 1);
     inner.inject_at(2, {g.edge_by_name("d0_0")}, 2);
     inner.inject_at(2, {g.edge_by_name("h0_0")}, 3);
     inner.inject_at(5, {g.edge_by_name("h1_0"), g.edge_by_name("h1_1")}, 4);
-    RecordingAdversary rec(inner, trace);
-    eng.run(&rec, 10);
+    eng.run(&inner, 10);
   }
+  ASSERT_EQ(trace.injection_count(), 4u);
+  EXPECT_EQ(trace.events()[0].t, 1);
+  EXPECT_EQ(trace.events()[0].tag, 1u);
+  EXPECT_EQ(trace.events()[3].t, 5);
   // Replay and compare observables.
   FifoProtocol fifo;
   Engine eng(g, fifo);
@@ -136,9 +122,7 @@ TEST(Trace, ReplayReproducesIdenticalRun) {
 TEST(Trace, ReplayLpsRunMatchesOriginalUnderFifo) {
   // Record a full bootstrap+handoff under FIFO, then replay the trace under
   // FIFO again: the executions must match in aggregate observables.
-  const Rat r(7, 10);
-  LpsConfig cfg = make_lps_config(r);
-  cfg.enforce_s0 = false;
+  const LpsConfig cfg = handoff_config();
   const ChainedGadgets net = build_chain(cfg.n, 2);
 
   Trace trace;
@@ -147,12 +131,14 @@ TEST(Trace, ReplayLpsRunMatchesOriginalUnderFifo) {
   std::int64_t orig_target_s = 0;
   Time duration = 0;
   {
+    ScheduleRecorder rec(trace);
+    EngineConfig ec;
+    ec.sinks.trace = &rec;
     FifoProtocol fifo;
-    Engine eng(net.graph, fifo);
+    Engine eng(net.graph, fifo, ec);
     setup_gadget_invariant(eng, net, 0, 200);
     LpsHandoff phase(net, cfg, 0);
-    RecordingAdversary rec(phase, trace);
-    while (!phase.finished(eng.now() + 1)) eng.step(&rec);
+    while (!phase.finished(eng.now() + 1)) eng.step(&phase);
     orig_injected = eng.total_injected();
     orig_absorbed = eng.total_absorbed();
     orig_target_s = inspect_gadget(eng, net, 1).S();
@@ -174,22 +160,12 @@ TEST(Trace, ReplayLpsRunMatchesOriginalUnderFifo) {
 TEST(Trace, ReplayUnderDifferentProtocolSkipsImpossibleReroutes) {
   // Record under FIFO, replay under LIS: injections replay verbatim; any
   // reroute whose target moved differently is skipped, not crashed.
-  const Rat r(7, 10);
-  LpsConfig cfg = make_lps_config(r);
-  cfg.enforce_s0 = false;
+  const LpsConfig cfg = handoff_config();
   const ChainedGadgets net = build_chain(cfg.n, 2);
 
   Trace trace;
-  Time duration = 0;
-  {
-    FifoProtocol fifo;
-    Engine eng(net.graph, fifo);
-    setup_gadget_invariant(eng, net, 0, 200);
-    LpsHandoff phase(net, cfg, 0);
-    RecordingAdversary rec(phase, trace);
-    while (!phase.finished(eng.now() + 1)) eng.step(&rec);
-    duration = eng.now();
-  }
+  ScheduleRecorder rec(trace);
+  const Time duration = run_handoff(net, cfg, rec);
   LisProtocol lis;
   Engine eng(net.graph, lis);
   setup_gadget_invariant(eng, net, 0, 200);
@@ -200,17 +176,35 @@ TEST(Trace, ReplayUnderDifferentProtocolSkipsImpossibleReroutes) {
 }
 
 TEST(Trace, FileRoundtripAndMissingFileErrors) {
-  const Graph g = make_line(3);
-  Trace trace;
-  trace.record_injection(1, Injection{{0, 1}, 3});
-  const std::string path = ::testing::TempDir() + "/aqt_trace_io.trace";
-  trace.save_file(path, g);
-  const Trace loaded = Trace::load_file(path, g);
-  EXPECT_EQ(loaded.size(), 1u);
+  // A schedule persists as a run trace: its J and R records, fed back
+  // through a ScheduleRecorder, rebuild exactly what was recorded live.
+  const LpsConfig cfg = handoff_config();
+  const ChainedGadgets net = build_chain(cfg.n, 2);
+  const std::string path = ::testing::TempDir() + "/aqt_trace_io.aqtt";
+  Trace live;
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good());
+    RunTraceWriter writer(out, net.graph, RunTraceMeta{});
+    ScheduleRecorder rec(live);
+    obs::RunTraceFanout both;
+    both.add(&writer).add(&rec);
+    (void)run_handoff(net, cfg, *both.as_sink());
+    writer.finish(0, 0);  // Footer totals are checked by aqt-verify only.
+  }
+  Trace rebuilt;
+  ScheduleRecorder rec(rebuilt);
+  replay_records(parse_run_trace_file(path), rec);
+  ASSERT_EQ(rebuilt.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(rebuilt.events()[i].kind, live.events()[i].kind) << i;
+    EXPECT_EQ(rebuilt.events()[i].t, live.events()[i].t) << i;
+    EXPECT_EQ(rebuilt.events()[i].tag, live.events()[i].tag) << i;
+    EXPECT_EQ(rebuilt.events()[i].ordinal, live.events()[i].ordinal) << i;
+    EXPECT_EQ(rebuilt.events()[i].edges, live.events()[i].edges) << i;
+  }
   std::remove(path.c_str());
-  EXPECT_THROW((void)Trace::load_file(path, g), PreconditionError);
-  EXPECT_THROW(trace.save_file("/no/such/dir/x.trace", g),
-               PreconditionError);
+  EXPECT_THROW((void)parse_run_trace_file(path), PreconditionError);
 }
 
 TEST(Trace, ReplayStartedMidTraceThrows) {

@@ -154,7 +154,7 @@ TEST(JsonArtifacts, EventLinesKeepEdgeAndMilestoneNames) {
   std::ostringstream os;
   obs::JsonlEventWriter writer(os, g);
   EngineSinks sinks;
-  sinks.events = &writer;
+  sinks.trace = &writer;
   drive(g, sinks);
   writer.milestone(24, kControl);
 

@@ -8,7 +8,6 @@
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/analysis/lps_math.hpp"
 #include "aqt/core/protocol.hpp"
-#include "aqt/core/probe.hpp"
 #include "aqt/core/rate_check.hpp"
 #include "aqt/adversaries/scripted.hpp"
 #include "aqt/topology/routing.hpp"
@@ -158,18 +157,24 @@ TEST(Lemma36, Claim311BufferFloorsMatchQi) {
   const std::int64_t S = 800;
   setup_gadget_invariant(eng, net, 0, S);
 
-  QueueProbe probe(eng, net.gadgets[1].e_path);
+  // The depth of e'_i at time 2S + i, read off as the run passes it.
+  const std::vector<EdgeId>& e_path = net.gadgets[1].e_path;
+  std::vector<std::size_t> q(e_path.size());
   LpsHandoff phase(net, cfg, 0);
   while (!phase.finished(eng.now() + 1)) {
     eng.step(&phase);
-    probe.sample();
+    const Time i = eng.now() - 2 * S;
+    if (i >= 1 && i <= cfg.n)
+      q[static_cast<std::size_t>(i - 1)] =
+          eng.queue_size(e_path[static_cast<std::size_t>(i - 1)]);
   }
+  ASSERT_GE(eng.now(), 2 * S + cfg.n);
 
   const double rd = r.to_double();
   for (std::int64_t i = 1; i <= cfg.n; ++i) {
     const double q_pred = lps_Q(static_cast<double>(S), rd, i);
-    const auto measured = static_cast<double>(
-        probe.at(static_cast<std::size_t>(i - 1), 2 * S + i));
+    const auto measured =
+        static_cast<double>(q[static_cast<std::size_t>(i - 1)]);
     // The buffer at 2S+i holds old packets *plus* decoys not yet absorbed
     // (Claim 3.9(3) says decoys vanish by then, up to pacing slack), so
     // allow a generous relative + additive tolerance.

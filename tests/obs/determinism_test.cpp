@@ -59,14 +59,16 @@ WorkloadResult run_workload(const Graph& g, bool observed) {
   PhaseTraceRecorder::Config phase_cfg;
   phase_cfg.stride = 2;
   PhaseTraceRecorder phases(trace_log, phase_cfg);
+  RunTraceFanout trace_sinks;
+  trace_sinks.add(&writer);
   EngineConfig cfg;
-  cfg.sinks.trace = &writer;
   cfg.audit_invariants = true;
   if (observed) {
     cfg.sinks.profile = &phases;
-    cfg.sinks.events = &events;
+    trace_sinks.add(&events);
     cfg.sinks.samples = fanout.as_sink();
   }
+  cfg.sinks.trace = trace_sinks.as_sink();
   Engine eng(g, *protocol, cfg);
   StochasticConfig adv_cfg;
   adv_cfg.w = 10;

@@ -21,7 +21,7 @@ std::vector<ObsEvent> record_ring_run(std::uint64_t* lines = nullptr) {
   std::ostringstream os;
   JsonlEventWriter writer(os, g);
   EngineConfig cfg;
-  cfg.sinks.events = &writer;
+  cfg.sinks.trace = &writer;
   Engine eng(g, fifo, cfg);
   writer.milestone(0, "run-begin");
   eng.add_initial_packet({0, 1, 2}, 7);

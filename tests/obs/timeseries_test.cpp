@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "aqt/adversaries/stochastic.hpp"
 #include "aqt/core/engine.hpp"
@@ -101,6 +102,31 @@ TEST(Timeseries, WatchedEdgeColumnsTrackQueueDepths) {
     EXPECT_LE(depths[0], rec.rows()[i].max_queue);
     EXPECT_LE(depths[1], rec.rows()[i].max_queue);
   }
+}
+
+TEST(Timeseries, StrideOneWatchedEdgesRecordEveryStepsDepth) {
+  // Four packets queued on l0 of a 3-edge line drain through l1: at stride
+  // 1 the watched columns are the exact per-step depth series.
+  const Graph g = make_line(3);
+  TimeseriesConfig cfg = no_wall(1, 4096);
+  cfg.watched = {EdgeId{0}, EdgeId{1}};
+  TimeseriesRecorder rec(cfg, &g);
+  EngineConfig ec;
+  ec.sinks.samples = &rec;
+  FifoProtocol fifo;
+  Engine eng(g, fifo, ec);
+  for (int i = 0; i < 4; ++i) eng.add_initial_packet({0, 1, 2});
+  eng.run(nullptr, 3);
+  ASSERT_EQ(rec.rows().size(), 3u);
+  std::vector<std::uint64_t> l0;
+  std::vector<std::uint64_t> l1;
+  for (std::size_t i = 0; i < rec.rows().size(); ++i) {
+    EXPECT_EQ(rec.rows()[i].t, static_cast<Time>(i + 1));
+    l0.push_back(rec.watched_depths(i)[0]);
+    l1.push_back(rec.watched_depths(i)[1]);
+  }
+  EXPECT_EQ(l0, (std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_EQ(l1, (std::vector<std::uint64_t>{1, 1, 1}));
 }
 
 TEST(Timeseries, CsvHeaderMatchesHeaders) {

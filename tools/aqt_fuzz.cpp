@@ -19,16 +19,16 @@
 // protocol) and requires the linter to reject with the matching finding
 // code.
 //
-// Parser phase (--trace-trials): mutates known-valid run traces and
-// adversary traces (truncation, byte flips, line deletion/duplication,
-// garbage insertion) and requires both hardened parsers to either accept
-// the result or reject it with a diagnostic PreconditionError — never
-// crash, abort, or throw anything else.  Each trial also mutates one JSON
-// document (the same damage plus spliced tokens, nesting around the depth
-// bound, duplicate keys, huge numbers, oversized input) and requires the
-// shared JSON parser to reject it with a PreconditionError or to parse it
-// to a value whose canonical form is a write -> parse -> write fixed
-// point; the first JSON failure exits nonzero.
+// Parser phase (--trace-trials): mutates known-valid run traces
+// (truncation, byte flips, line deletion/duplication, garbage insertion)
+// and requires the hardened parser to either accept the result or reject
+// it with a diagnostic PreconditionError — never crash, abort, or throw
+// anything else; whatever parses is verified too.  Each trial also mutates
+// one JSON document (the same damage plus spliced tokens, nesting around
+// the depth bound, duplicate keys, huge numbers, oversized input) and
+// requires the shared JSON parser to reject it with a PreconditionError or
+// to parse it to a value whose canonical form is a write -> parse -> write
+// fixed point; the first JSON failure exits nonzero.
 //
 // Observer-effect phase (--obs-trials): runs the same scripted trial three
 // times — bare; with the full observability stack (step-phase profiler +
@@ -69,7 +69,6 @@
 #include "aqt/topology/generators.hpp"
 #include "aqt/topology/spec.hpp"
 #include "aqt/trace/run_trace.hpp"
-#include "aqt/trace/trace.hpp"
 #include "aqt/util/check.hpp"
 #include "aqt/util/cli.hpp"
 #include "aqt/util/hash.hpp"
@@ -237,47 +236,31 @@ struct QueueDriver final : Adversary {
   }
 };
 
-/// One valid (run trace, adversary trace) pair plus the graph needed to
-/// re-parse the adversary trace.
-struct TraceCorpusEntry {
-  Graph graph;
-  std::string run_text;
-  std::string adversary_text;
-};
-
-TraceCorpusEntry make_trace_corpus_entry(const std::string& spec,
-                                         const std::string& proto,
-                                         Rng& rng) {
-  TraceCorpusEntry entry;
-  entry.graph = parse_topology_spec(spec).graph;
+/// One valid run trace: a short random injection script on `spec`.
+std::string make_trace_corpus_entry(const std::string& spec,
+                                    const std::string& proto, Rng& rng) {
+  const Graph graph = parse_topology_spec(spec).graph;
   auto protocol = make_protocol(proto);
   RunTraceMeta meta;
   meta.protocol = proto;
   meta.seed = 7;
   std::ostringstream run_os;
-  RunTraceWriter writer(run_os, entry.graph, meta);
+  RunTraceWriter writer(run_os, graph, meta);
   EngineConfig cfg;
   cfg.sinks.trace = &writer;
-  Engine eng(entry.graph, *protocol, cfg);
+  Engine eng(graph, *protocol, cfg);
 
-  Trace adversary_trace;
   QueueDriver driver;
   std::uint64_t tag = 1;
   for (Time t = 1; t <= 12; ++t) {
-    if (rng.chance(0.7)) {
-      const Injection inj{random_route(entry.graph, rng, 3), tag++};
-      adversary_trace.record_injection(t, inj);
-      driver.pending.push_back(inj);
-    }
+    if (rng.chance(0.7))
+      driver.pending.push_back(
+          Injection{random_route(graph, rng, 3), tag++});
     eng.step(&driver);
   }
   eng.drain(64);
   writer.finish(eng.total_injected(), eng.total_absorbed());
-  entry.run_text = run_os.str();
-  std::ostringstream adv_os;
-  adversary_trace.save(adv_os, entry.graph);
-  entry.adversary_text = adv_os.str();
-  return entry;
+  return run_os.str();
 }
 
 std::string mutate_text(const std::string& text, Rng& rng) {
@@ -436,16 +419,15 @@ std::string check_json_case(const std::string& text) {
 /// JSON parser, and the first JSON failure ends the phase.  Returns the
 /// number of failing trials.
 std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
-  std::vector<TraceCorpusEntry> corpus;
+  std::vector<std::string> corpus;
   {
     Rng rng = master.split();
     corpus.push_back(make_trace_corpus_entry("ring:6", "FIFO", rng));
     corpus.push_back(make_trace_corpus_entry("grid:3x3", "LIS", rng));
   }
-  // The unmutated corpus must be clean: parse, verify with no findings,
-  // and round-trip through the adversary-trace loader.
-  for (const TraceCorpusEntry& entry : corpus) {
-    std::istringstream run_is(entry.run_text);
+  // The unmutated corpus must be clean: parse and verify with no findings.
+  for (const std::string& entry : corpus) {
+    std::istringstream run_is(entry);
     const VerifyReport rep =
         verify_run_trace(parse_run_trace(run_is, "corpus"), "corpus");
     if (!rep.ok()) {
@@ -454,8 +436,6 @@ std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
                   rep.findings[0].message.c_str());
       return 1;
     }
-    std::istringstream adv_is(entry.adversary_text);
-    (void)Trace::load(adv_is, entry.graph);
   }
 
   const std::vector<std::string> json_corpus = make_json_corpus();
@@ -471,21 +451,13 @@ std::int64_t run_trace_fuzz(std::int64_t trials, Rng& master) {
   std::int64_t failures = 0;
   for (std::int64_t trial = 0; trial < trials; ++trial) {
     Rng rng = master.split();
-    const TraceCorpusEntry& entry = corpus[rng.below(corpus.size())];
-    const bool run_kind = rng.chance(0.6);
-    const std::string mutated =
-        mutate_text(run_kind ? entry.run_text : entry.adversary_text, rng);
+    std::istringstream is(
+        mutate_text(corpus[rng.below(corpus.size())], rng));
     try {
-      if (run_kind) {
-        std::istringstream is(mutated);
-        const RunTrace tr = parse_run_trace(is, "fuzz");
-        // Whatever parses must also verify without crashing; findings are
-        // the expected outcome for a tampered trace.
-        (void)verify_run_trace(tr, "fuzz");
-      } else {
-        std::istringstream is(mutated);
-        (void)Trace::load(is, entry.graph);
-      }
+      const RunTrace tr = parse_run_trace(is, "fuzz");
+      // Whatever parses must also verify without crashing; findings are the
+      // expected outcome for a tampered trace.
+      (void)verify_run_trace(tr, "fuzz");
     } catch (const PreconditionError&) {
       // The hardened-parser contract: diagnostic rejection.
     } catch (const std::exception& e) {
@@ -542,11 +514,12 @@ std::uint64_t scripted_run_hash(const Graph& g, const std::string& proto,
   obs::PhaseTraceRecorder::Config pt_cfg;
   pt_cfg.stride = 2;
   obs::PhaseTraceRecorder phase_trace(trace_log, pt_cfg);
+  obs::RunTraceFanout trace_sinks;
+  trace_sinks.add(&writer);
   EngineConfig cfg;
-  cfg.sinks.trace = &writer;
   if (stack == ObsStack::kFullObs) {
     cfg.sinks.profile = &profiler;
-    cfg.sinks.events = &events;
+    trace_sinks.add(&events);
     fanout.add(&timeseries).add(&watchdog);
     cfg.sinks.samples = fanout.as_sink();
   } else if (stack == ObsStack::kPhaseTrace) {
@@ -554,6 +527,7 @@ std::uint64_t scripted_run_hash(const Graph& g, const std::string& proto,
     fanout.add(&timeseries);
     cfg.sinks.samples = fanout.as_sink();
   }
+  cfg.sinks.trace = trace_sinks.as_sink();
   Engine eng(g, *protocol, cfg);
   QueueDriver driver;
   for (const auto& step_inj : script) {

@@ -296,8 +296,9 @@ static int run_main(int argc, char** argv) {
   spec.artifacts.metrics = !cli.get("metrics-out").empty() ||
                            !cli.get("metrics-prom").empty() ||
                            !cli.get("metrics-csv").empty();
-  spec.collect = [](const Engine& eng, const Adversary*, RunResult& r) {
+  spec.collect = [](const Engine& eng, const Adversary* adv, RunResult& r) {
     r.extra["mean latency"] = eng.metrics().mean_latency();
+    r.extra["unfinished"] = adv != nullptr && !adv->finished(eng.now() + 1);
   };
 
   // Observers of the primary run; the determinism re-run has none, so it
@@ -374,6 +375,12 @@ static int run_main(int argc, char** argv) {
   t.rowv("max latency", static_cast<long long>(result.max_latency));
   t.rowv("mean latency", result.extra["mean latency"]);
   std::cout << "\n" << t;
+  // The LPS construction is the one finite flag adversary: a --steps cap
+  // that cuts it short must not read as a finished run.
+  if (adversary_name == "lps" && result.extra["unfinished"] != 0)
+    std::cout << "the lps adversary had not finished at --steps "
+              << spec.steps << ": " << result.in_flight
+              << " packets in flight\n";
 
   if (profiler) std::cout << "\n" << profiler->summary();
   if (events)
