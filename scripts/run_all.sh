@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds everything, lints the example scenarios, runs the full test suite,
+# Builds everything, runs the example requests, the full test suite,
 # every experiment bench, the differential fuzzer, and all examples.
 # Outputs land in ./out.  Fails fast: any failing step aborts the script
 # with a pointer to the command that broke.
@@ -12,22 +12,23 @@ cmake --build build
 
 mkdir -p out out/metrics
 
-./build/tools/aqt-lint examples/scenarios/*.aqts | tee out/lint_output.txt
+# Validate and run every example request (scripted ones included).
+./build/tools/aqt-sim --batch examples/requests | tee out/batch_output.txt
 
 # Static determinism audit of the sources themselves (AUD001..AUD007);
 # any finding aborts the script via the ERR trap above.
 ./build/tools/aqt-audit --metrics-out out/metrics/audit.metrics.json \
   src tools tests | tee out/audit_output.txt
 
-# Record every example scenario (with the --replay-twice true determinism check),
-# then re-verify each recorded run offline with aqt-verify; stable runs with
-# an applicable theorem also get their certificate written next to the trace.
-# Each scenario also drops its metrics snapshot (JSON + Prometheus + CSV) and
-# packet-lifecycle event stream into out/metrics/.
+# Record every example request (with the --replay-twice true determinism
+# check), then re-verify each recorded run offline with aqt-verify; stable
+# runs with an applicable theorem also get their certificate written next to
+# the trace.  Each request also drops its metrics snapshot (JSON +
+# Prometheus + CSV) and packet-lifecycle event stream into out/metrics/.
 mkdir -p out/traces
-for s in examples/scenarios/*.aqts; do
-  name=$(basename "$s" .aqts)
-  ./build/tools/aqt-sim --scenario "$s" \
+for s in examples/requests/*.json; do
+  name=$(basename "$s" .json)
+  ./build/tools/aqt-sim --request "$s" \
     --record-run "out/traces/$name.trace" --replay-twice true \
     --profile true \
     --metrics-out "out/metrics/$name.metrics.json" \

@@ -5,8 +5,8 @@ The sibling of validate_trace_event.py: a deliberately minimal,
 dependency-free checker (stdlib json/re only — CI must not pip install
 anything).  It hand-implements exactly the schema constructs that schema
 file uses (required/additionalProperties/enum/const/type/minimum/maximum/
-minLength/maxLength/pattern/not, boolean schemas and the per-kind adversary
-if/then conditionals) with their standard JSON Schema meaning, and fails
+minLength/maxLength/minItems/pattern/not, boolean schemas and the per-kind
+adversary and per-event if/then conditionals) with their standard JSON Schema meaning, and fails
 loudly if the schema ever grows a construct it does not know.
 
 Usage: validate_run_request.py REQUEST.json [REQUEST.json ...]
@@ -29,7 +29,7 @@ KNOWN_KEYS = {
     "$schema", "$id", "$ref", "title", "description", "type", "required",
     "additionalProperties", "properties", "items", "enum", "const",
     "definitions", "allOf", "if", "then", "not", "minimum", "maximum",
-    "minLength", "maxLength", "pattern",
+    "minLength", "maxLength", "minItems", "pattern",
 }
 
 TYPE_CHECKS = {
@@ -119,6 +119,8 @@ def validate(value, schema, root, path, errors):
             if key in value:
                 validate(value[key], sub, root, f"{path}.{key}", local_errors)
 
+    if isinstance(value, list) and len(value) < schema.get("minItems", 0):
+        fail(f"{len(value)} items < minItems {schema['minItems']}")
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             validate(item, schema["items"], root, f"{path}[{i}]",

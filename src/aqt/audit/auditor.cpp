@@ -51,10 +51,7 @@ const std::map<std::string, std::set<std::string>>& layer_allowed() {
       {"adversaries",
        {"adversaries", "analysis", "topology", "trace", "core", "util"}},
       {"runner", {"runner", "trace", "obs", "core", "util"}},
-      {"lint", {"lint", "topology", "core", "util"}},
-      {"verify",
-       {"verify", "runner", "lint", "analysis", "trace", "topology", "obs",
-        "core", "util"}},
+      {"verify", {"verify", "analysis", "trace", "core", "util"}},
       {"experiments",
        {"experiments", "adversaries", "runner", "analysis", "topology",
         "trace", "obs", "core", "util"}},

@@ -50,7 +50,7 @@
 //   <marker> context(merge)    mark as a cross-worker merge path
 //
 // All findings are collected (never fail-fast) and rendered as text or
-// JSON, mirroring aqt-lint/aqt-verify.
+// JSON, mirroring aqt-verify.
 #pragma once
 
 #include <string>

@@ -13,8 +13,8 @@
 //   * preprocessor lines are captured separately (AUD006 reads #include
 //     paths), and line continuations inside them are honoured.
 //
-// The scanner follows the same hardened-parser discipline as the scenario
-// and event readers (lint/scenario.cpp, obs/events.cpp): any input byte
+// The scanner follows the same hardened-parser discipline as the trace
+// and event readers (trace/run_trace.cpp, obs/events.cpp): any input byte
 // sequence terminates — unterminated block comments, raw strings, and
 // literals are closed at end-of-file, never looped on or crashed over.
 #pragma once

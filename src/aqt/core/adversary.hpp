@@ -65,6 +65,14 @@ class Adversary {
   /// adversaries (anything that inspects queues or resolves packet ids)
   /// must keep the default and stay on the per-step polled path.
   [[nodiscard]] virtual bool is_oblivious() const { return false; }
+
+  /// True when step() for steps 1..t never reads the engine, so a resumed
+  /// run can fast-forward through them by replaying its polls.  An
+  /// oblivious adversary is for every t; a script is until its first
+  /// reroute.
+  [[nodiscard]] virtual bool is_oblivious_through(Time /*t*/) const {
+    return is_oblivious();
+  }
 };
 
 /// The trivial adversary: injects nothing, ever.

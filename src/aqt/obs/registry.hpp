@@ -3,8 +3,8 @@
 //
 // The engine's in-memory Metrics (core/metrics.hpp) answers the paper's
 // stability question for one run; the registry generalizes that into a
-// tool-agnostic snapshot every binary (aqt-sim, aqt-verify, aqt-lint,
-// aqt-fuzz, examples, benches) can populate and every exporter
+// tool-agnostic snapshot every binary (aqt-sim, aqt-verify, aqt-fuzz,
+// examples, benches) can populate and every exporter
 // (export.hpp: Prometheus text exposition, JSON snapshot, CSV) can walk, so
 // the whole repo emits one schema.
 //

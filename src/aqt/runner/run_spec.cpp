@@ -1,6 +1,7 @@
 #include "aqt/runner/run_spec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -28,7 +29,14 @@ bool cancel_requested(const RunControls& rc) {
 /// cannot apply, instead of counting it as E10's cross-protocol replay does.
 class ScriptReplayAdversary final : public Adversary {
  public:
-  explicit ScriptReplayAdversary(const Trace& script) : replay_(script) {}
+  explicit ScriptReplayAdversary(const Trace& script) : replay_(script) {
+    for (const TraceEvent& ev : script.events()) {
+      if (ev.kind == TraceEvent::Kind::kReroute) {
+        first_reroute_ = ev.t;
+        break;
+      }
+    }
+  }
 
   void step(Time now, const Engine& engine, AdversaryStep& out) override {
     replay_.step(now, engine, out);
@@ -43,9 +51,14 @@ class ScriptReplayAdversary final : public Adversary {
   [[nodiscard]] bool finished(Time now) const override {
     return replay_.finished(now);
   }
+  /// Injections never read the engine; a reroute resolves its target in it.
+  [[nodiscard]] bool is_oblivious_through(Time t) const override {
+    return t < first_reroute_;
+  }
 
  private:
   ReplayAdversary replay_;
+  Time first_reroute_ = std::numeric_limits<Time>::max();
 };
 
 void run_cell(const RunSpec& spec, const RunObservers& observers,
@@ -172,14 +185,15 @@ void run_cell(const RunSpec& spec, const RunObservers& observers,
     // Fast-forward: replay the poll sequence the interrupted segment
     // consumed (steps 1..k, each exactly once, in order — the same
     // sequence Engine::run produces on both its polled and compiled
-    // paths), discarding the output.  Only sound for oblivious
-    // adversaries, whose work is a pure function of `now` and internal
-    // state; adaptive ones would have observed intermediate engine states
-    // that no longer exist.
-    AQT_REQUIRE(adversary->is_oblivious(),
+    // paths), discarding the output.  Only sound while the adversary is
+    // oblivious, its work a pure function of `now` and internal state;
+    // adaptive polls would have observed intermediate engine states that
+    // no longer exist.
+    AQT_REQUIRE(adversary->is_oblivious_through(cp.steps_done),
                 "RunSpec '" << result.name
-                            << "': resume requires an oblivious adversary "
-                               "(adaptive adversaries cannot fast-forward)");
+                            << "': resume requires an adversary oblivious "
+                               "up to the cut (adaptive adversaries cannot "
+                               "fast-forward)");
     AdversaryStep discard;
     for (Time t = 1; t <= cp.steps_done; ++t) {
       discard.injections.clear();
@@ -325,25 +339,11 @@ RunResult execute_run(const RunSpec& spec, const RunObservers& observers) {
   return result;
 }
 
-RunSpec make_scripted_spec(std::string name, Graph graph, Trace script,
-                           const RunTraceMeta& header, Time horizon) {
-  // The graph and script outlive every per-cell replay through shared
-  // ownership captured in the recipe/factory closures.
-  auto shared_graph = std::make_shared<Graph>(std::move(graph));
-  auto shared_script = std::make_shared<Trace>(std::move(script));
-  RunSpec spec;
-  spec.name = name;
-  spec.topology.name = std::move(name);
-  spec.topology.build = [shared_graph] { return *shared_graph; };
-  spec.protocol = header.protocol;
-  spec.adversary = [shared_script](const Graph&, std::uint64_t) {
-    return std::make_unique<ScriptReplayAdversary>(*shared_script);
+AdversaryFactory script_adversary(Trace script) {
+  auto shared = std::make_shared<const Trace>(std::move(script));
+  return [shared](const Graph&, std::uint64_t) {
+    return std::make_unique<ScriptReplayAdversary>(*shared);
   };
-  spec.steps = std::max<Time>(1, horizon);
-  spec.drain_after = true;
-  spec.header = header;
-  spec.artifacts.trace_hash = true;
-  return spec;
 }
 
 }  // namespace aqt

@@ -2,7 +2,7 @@
 // single independent simulation cell, and one explicit outcome (RunResult).
 //
 // Every workload in this repo — the §4 stability sweeps, the r = 1/2 + ε
-// instability scans, fuzz trials, scenario batches, benches — is a bag of
+// instability scans, fuzz trials, request batches, benches — is a bag of
 // independent cells of the same shape: build a topology, make a protocol,
 // make an adversary, run N steps, read the stability-relevant numbers.
 // RunSpec factors that implicit per-tool tuple into one value type so the
@@ -99,9 +99,9 @@ struct RunControls {
   /// Job-checkpoint file path written when checkpoint_at fires or a cancel
   /// arrives with this set.  Requires a checkpointable cell: no rate
   /// audit, a deterministic (non-RANDOM) protocol, and — for the resumed
-  /// side — an oblivious adversary (fast-forward replays its poll
-  /// sequence; adaptive adversaries would need state the engine cannot
-  /// reconstruct).
+  /// side — an adversary oblivious up to the cut (fast-forward replays its
+  /// poll sequence; adaptive adversaries would need state the engine
+  /// cannot reconstruct).
   std::string checkpoint_to;
 
   /// Resume a previously checkpointed run: restore engine + trace-hash
@@ -151,10 +151,10 @@ struct RunSpec {
   std::optional<std::int64_t> audit_burst;
   std::optional<Rat> audit_r;
 
-  /// The run trace header: its scenario digest and declared constraints,
-  /// audited or not (aqt-sim's flag runs and scenario files declare theirs
-  /// either way); protocol and seed always come from this spec.  Unset,
-  /// it is audit_header(*this).
+  /// The run trace header's declared constraints, audited or not
+  /// (aqt-sim's flag runs declare their adversary's either way); protocol
+  /// and seed always come from this spec.  Unset, it is
+  /// audit_header(*this).
   std::optional<RunTraceMeta> header;
 
   /// Optional initial configuration applied before step 1 (e.g. the
@@ -246,14 +246,10 @@ RunTraceMeta audit_header(const RunSpec& spec);
 /// a batch.
 RunResult execute_run(const RunSpec& spec, const RunObservers& observers = {});
 
-/// A RunSpec that replays a recorded adversary script (scenario runs):
-/// runs `horizon` steps (stopping early when the script is exhausted), then
-/// drains, with the trace hash recorded.  `header` supplies the protocol,
-/// the scenario digest and the declared constraints.  A scripted reroute
-/// that cannot apply fails the run with an error naming its t= and
-/// packet=.  The trace is shared by reference into the factory, so the
-/// returned spec owns it.
-RunSpec make_scripted_spec(std::string name, Graph graph, Trace script,
-                           const RunTraceMeta& header, Time horizon);
+/// The adversary of a scripted job: replays `script` (injections verbatim,
+/// reroutes by creation ordinal) and fails the run at the first scripted
+/// reroute that cannot apply, with an error naming its t= and packet=.
+/// The factory owns the script.
+AdversaryFactory script_adversary(Trace script);
 
 }  // namespace aqt

@@ -2,17 +2,203 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "aqt/adversaries/bucket.hpp"
 #include "aqt/adversaries/lps.hpp"
 #include "aqt/adversaries/stochastic.hpp"
 #include "aqt/core/protocol.hpp"
+#include "aqt/core/rate_check.hpp"
 #include "aqt/topology/spec.hpp"
+#include "aqt/trace/trace.hpp"
 #include "aqt/util/check.hpp"
 
 namespace aqt {
 namespace serve {
+namespace {
+
+/// Resolves edge names; each unknown one is a dangling-edge finding.
+std::optional<Route> resolve_edges(const Graph& g,
+                                   const std::vector<std::string>& names,
+                                   const std::string& at, const char* what,
+                                   std::vector<std::string>& findings) {
+  Route route;
+  route.reserve(names.size());
+  bool ok = true;
+  for (const std::string& name : names) {
+    if (const auto e = g.find_edge(name)) {
+      route.push_back(*e);
+    } else {
+      findings.push_back(at + ": dangling-edge: " + what + " names edge '" +
+                         name + "', which does not exist in this topology");
+      ok = false;
+    }
+  }
+  if (!ok) return std::nullopt;
+  return route;
+}
+
+/// The scripted adversary's events as a replayable Trace, checked against
+/// the graph, the protocol, `steps` and the declared audit.  Every finding
+/// is collected; any finding rejects the request with SRV009, one line per
+/// finding, each naming its event and the finding.
+Trace compile_script(const RunRequest& req, const Graph& g) {
+  const std::vector<ScriptEvent>& events = req.adversary.events;
+  std::vector<std::string> findings;
+  const auto at = [](std::size_t i) {
+    return "events[" + std::to_string(i) + "]";
+  };
+  const bool historic = make_protocol(req.protocol)->is_historic();
+
+  // The event index of each injection, by creation ordinal, and each
+  // event's edges once they pass its checks.
+  std::vector<std::size_t> injection_at;
+  std::vector<std::optional<Route>> resolved(events.size());
+  std::size_t injection_count = 0;
+  for (const ScriptEvent& ev : events) injection_count += ev.reroute ? 0 : 1;
+
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ScriptEvent& ev = events[i];
+    if (i > 0 && ev.t < events[i - 1].t)
+      findings.push_back(at(i) + ": event-out-of-order: t=" +
+                         std::to_string(ev.t) + " follows t=" +
+                         std::to_string(events[i - 1].t) +
+                         "; events are listed in non-decreasing t");
+    if (ev.t > req.steps)
+      findings.push_back(at(i) + ": event-after-steps: t=" +
+                         std::to_string(ev.t) + " but the run has steps=" +
+                         std::to_string(req.steps));
+    if (!ev.reroute) {
+      auto route = resolve_edges(g, ev.edges, at(i), "route", findings);
+      if (route && !g.is_path(*route)) {
+        findings.push_back(at(i) +
+                           ": route-not-path: the route is not contiguous "
+                           "(the head of each edge must be the tail of the "
+                           "next)");
+        route.reset();
+      } else if (route && !g.is_simple_path(*route)) {
+        findings.push_back(at(i) +
+                           ": route-not-simple: the route revisits a node; "
+                           "the model (paper section 2) requires simple "
+                           "routes");
+        route.reset();
+      }
+      resolved[i] = std::move(route);
+      injection_at.push_back(i);
+      continue;
+    }
+    if (!historic)
+      findings.push_back(at(i) + ": reroute-nonhistoric: protocol " +
+                         req.protocol +
+                         " is not historic; Lemma 3.3 licenses rerouting "
+                         "only for historic protocols (Definition 3.1)");
+    if (ev.packet >= injection_count) {
+      findings.push_back(at(i) + ": reroute-unknown-packet: packet " +
+                         std::to_string(ev.packet) +
+                         " but the request injects only " +
+                         std::to_string(injection_count) + " packets");
+      continue;
+    }
+    // A reroute targets an injection listed before it (a later one has
+    // t >= its own), so the target is already in `injection_at` unless
+    // the order is wrong, which is reported above.
+    const std::size_t target = ev.packet < injection_at.size()
+                                   ? injection_at[ev.packet]
+                                   : events.size();
+    if (target == events.size() || ev.t <= events[target].t) {
+      findings.push_back(
+          at(i) + ": reroute-too-early: reroute at t=" + std::to_string(ev.t) +
+          " targets packet " + std::to_string(ev.packet) +
+          (target == events.size()
+               ? std::string(", which is injected later")
+               : " injected at t=" + std::to_string(events[target].t)) +
+          "; reroutes apply before same-step injections, so the target "
+          "exists only from the step after its injection");
+      if (target == events.size()) continue;
+    }
+    auto suffix = resolve_edges(g, ev.edges, at(i), "suffix", findings);
+    if (!suffix) continue;
+    if (!g.is_path(*suffix)) {
+      findings.push_back(at(i) + ": route-not-path: the suffix is not "
+                                 "contiguous");
+      continue;
+    }
+    // The suffix splices after a traversed prefix of the target's route,
+    // so its first edge must leave a node that route reaches.
+    if (resolved[target]) {
+      bool splices = false;
+      for (const EdgeId e : *resolved[target])
+        splices = splices || g.head(e) == g.tail(suffix->front());
+      if (!splices) {
+        findings.push_back(at(i) + ": reroute-discontiguous: the suffix "
+                                   "starts at node '" +
+                           g.node_name(g.tail(suffix->front())) +
+                           "', which the target's route never reaches");
+        continue;
+      }
+    }
+    resolved[i] = std::move(suffix);
+  }
+
+  // The declared audit, by the exact checker, over the final effective
+  // routes: a reroute's suffix is charged at its target's injection time,
+  // as Lemma 3.3 and the engine's audit charge it.
+  if (req.audit_r.has_value()) {
+    const auto charged_at = [&](std::size_t i) {
+      return events[i].reroute ? events[injection_at[events[i].packet]].t
+                               : events[i].t;
+    };
+    RateAudit audit(g.edge_count());
+    for (std::size_t i = 0; i < events.size(); ++i)
+      if (resolved[i]) audit.add(*resolved[i], charged_at(i));
+    RateCheckResult res;
+    const char* finding = "rate-infeasible";
+    if (req.audit_w.has_value()) {
+      res = check_window(audit, *req.audit_w, *req.audit_r);
+      finding = "window-infeasible";
+    } else if (req.audit_burst.has_value()) {
+      res = check_bucket(audit, *req.audit_burst, *req.audit_r);
+      finding = "bucket-infeasible";
+    } else {
+      res = check_rate_r(audit, *req.audit_r);
+    }
+    if (!res.ok) {
+      // Name the last event charged to the violating edge and interval:
+      // the one that goes over the budget.
+      std::size_t last = 0;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        if (!resolved[i]) continue;
+        const Time t = charged_at(i);
+        const Route& edges = *resolved[i];
+        if (t >= res.t1 && t <= res.t2 &&
+            std::find(edges.begin(), edges.end(), res.edge) != edges.end())
+          last = i;
+      }
+      findings.push_back(at(last) + ": " + finding +
+                         ": the script violates the declared audit: " +
+                         res.describe(g));
+    }
+  }
+
+  if (!findings.empty()) {
+    std::string message;
+    for (const std::string& f : findings)
+      message += (message.empty() ? "" : "\n") + f;
+    throw RequestError(errc::kBadParam, message);
+  }
+  Trace script;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].reroute)
+      script.record_reroute(events[i].t, events[i].packet, *resolved[i]);
+    else
+      script.record_injection(events[i].t,
+                              Injection{*resolved[i], events[i].tag});
+  }
+  return script;
+}
+
+}  // namespace
 
 Registry::Registry() = default;
 
@@ -64,7 +250,8 @@ JsonValue Registry::catalog() const {
   doc.set("protocols", std::move(protocols));
   JsonValue adversaries = JsonValue::make_array();
   for (const char* kind :
-       {"none", "stochastic", "hotspot", "convoy", "bucket", "lps"})
+       {"none", "stochastic", "hotspot", "convoy", "bucket", "lps",
+        "scripted"})
     adversaries.push_back(JsonValue::make_string(kind));
   doc.set("adversaries", std::move(adversaries));
   JsonValue artifacts = JsonValue::make_array();
@@ -119,6 +306,11 @@ RunSpec Registry::compile(const RunRequest& req) const {
                        "adversary \"lps\" needs an lps:NxM topology, got \"" +
                            req.topology + "\"");
   if (is_lps_adv) {
+    if (adv.r <= Rat(1, 2) || adv.r >= Rat(1))
+      throw RequestError(errc::kBadParam,
+                         "adversary \"lps\" needs 1/2 < r < 1 (Theorem "
+                         "3.17), got r = " +
+                             adv.r.str());
     const LpsConfig probe = make_lps_config(adv.r);
     if (probe.n != topo->lps_net.n)
       throw RequestError(
@@ -207,6 +399,10 @@ RunSpec Registry::compile(const RunRequest& req) const {
     spec.setup = [topo, s_star](Engine& eng, const Graph&) {
       setup_flat_queue(eng, topo->lps_net, 0, s_star);
     };
+  } else if (adv.kind == "scripted") {
+    const Graph named_graph = topo == nullptr ? spec.topology.build() : Graph();
+    spec.adversary = script_adversary(
+        compile_script(req, topo == nullptr ? named_graph : topo->graph));
   } else {
     throw RequestError(errc::kUnknownAdversary,
                        "unknown adversary kind \"" + adv.kind + "\"");

@@ -1,6 +1,7 @@
 #include "aqt/serve/request.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "aqt/util/check.hpp"
 
@@ -83,6 +84,77 @@ void reject_unknown_keys(const JsonValue& obj, const std::string& where,
   }
 }
 
+/// A route or suffix: a non-empty array of edge names.
+std::vector<std::string> need_edges(const JsonValue& v,
+                                    const std::string& where,
+                                    const std::string& key) {
+  if (!v.is_array() || v.items().empty())
+    bad(errc::kBadField, where,
+        "\"" + key + "\" must be a non-empty array of edge names");
+  std::vector<std::string> edges;
+  edges.reserve(v.items().size());
+  for (const JsonValue& item : v.items()) {
+    if (!item.is_string() || item.as_string().empty())
+      bad(errc::kBadField, where,
+          "\"" + key + "\" must be a non-empty array of edge names");
+    edges.push_back(item.as_string());
+  }
+  return edges;
+}
+
+/// The scripted adversary's events: the shape only.  Everything that needs
+/// the graph, the order of events or the audit is Registry::compile's.
+std::vector<ScriptEvent> parse_events(const JsonValue& v,
+                                      const std::string& where) {
+  if (!v.is_array())
+    bad(errc::kBadField, where, "\"events\" must be an array of events");
+  std::vector<ScriptEvent> events;
+  events.reserve(v.items().size());
+  for (std::size_t i = 0; i < v.items().size(); ++i) {
+    const JsonValue& item = v.items()[i];
+    const std::string name = "events[" + std::to_string(i) + "]";
+    if (!item.is_object())
+      bad(errc::kBadField, where, name + " must be an object");
+    const auto field = [&](const char* key) -> const JsonValue& {
+      const JsonValue* f = item.find(key);
+      if (f == nullptr)
+        bad(errc::kMissingField, where,
+            name + " needs \"" + key +
+                "\" (an injection has t, route and tag; a reroute t, "
+                "packet and suffix)");
+      return *f;
+    };
+    ScriptEvent ev;
+    ev.reroute = item.find("route") == nullptr;
+    reject_unknown_keys(item, where, name.c_str(),
+                        ev.reroute ? std::vector<std::string>{"t", "packet",
+                                                              "suffix"}
+                                   : std::vector<std::string>{"t", "route",
+                                                              "tag"});
+    const JsonValue& t = field("t");
+    if (t.is_int() && t.as_int() < 1)
+      bad(errc::kBadField, where,
+          name + ": inject-time-invalid: t = " + std::to_string(t.as_int()) +
+              "; events start at step 1 (step 0 is the initial "
+              "configuration)");
+    ev.t = need_int(t, where, (name + ".t").c_str(), 1, 1000000000000LL);
+    if (ev.reroute) {
+      ev.packet = static_cast<std::uint64_t>(need_int(
+          field("packet"), where, (name + ".packet").c_str(), 0,
+          1000000000000LL));
+      ev.edges = need_edges(field("suffix"), where, name + ".suffix");
+    } else {
+      ev.edges = need_edges(field("route"), where, name + ".route");
+      if (const JsonValue* tag = item.find("tag"))
+        ev.tag = static_cast<std::uint64_t>(
+            need_int(*tag, where, (name + ".tag").c_str(), 0,
+                     std::numeric_limits<std::int64_t>::max()));
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
 AdversarySpec parse_adversary(const JsonValue& v, const std::string& where) {
   if (!v.is_object())
     bad(errc::kBadField, where, "\"adversary\" must be an object");
@@ -97,16 +169,20 @@ AdversarySpec parse_adversary(const JsonValue& v, const std::string& where) {
   if (windowed) known.insert(known.end(), {"w", "r", "d"});
   if (adv.kind == "bucket") known.insert(known.end(), {"burst", "r", "d"});
   if (adv.kind == "lps") known.insert(known.end(), {"r", "iterations", "s_star"});
+  if (adv.kind == "scripted") known.push_back("events");
   if (adv.kind != "none" && adv.kind != "stochastic" &&
       adv.kind != "hotspot" && adv.kind != "convoy" && adv.kind != "bucket" &&
-      adv.kind != "lps") {
+      adv.kind != "lps" && adv.kind != "scripted") {
     // Unknown kinds are the registry's domain (SRV008) so the message can
     // list what IS known; raise it here with the same code for locality.
     bad(errc::kUnknownAdversary, where,
         "unknown adversary kind \"" + adv.kind +
-            "\" (known: none stochastic hotspot convoy bucket lps)");
+            "\" (known: none stochastic hotspot convoy bucket lps "
+            "scripted)");
   }
   reject_unknown_keys(v, where, "adversary", known);
+  if (adv.kind == "scripted")
+    adv.events = parse_events(need(v, where, "events"), where);
 
   if (const JsonValue* f = v.find("w"))
     adv.w = need_int(*f, where, "w", 1, 1000000);
@@ -227,7 +303,7 @@ RunRequest parse_run_request(const std::string& text,
 
 void audit_adversary_constraint(RunRequest& req) {
   const AdversarySpec& adv = req.adversary;
-  if (adv.kind == "none") return;
+  if (adv.kind == "none" || adv.kind == "scripted") return;
   req.audit_r = adv.r;
   if (adv.kind == "stochastic" || adv.kind == "hotspot" ||
       adv.kind == "convoy")
@@ -258,6 +334,25 @@ JsonValue run_request_to_json(const RunRequest& req) {
     adv.set("r", JsonValue::make_string(req.adversary.r.str()));
     adv.set("iterations", JsonValue::make_int(req.adversary.iterations));
     adv.set("s_star", JsonValue::make_int(req.adversary.s_star));
+  } else if (kind == "scripted") {
+    JsonValue events = JsonValue::make_array();
+    for (const ScriptEvent& ev : req.adversary.events) {
+      JsonValue item = JsonValue::make_object();
+      item.set("t", JsonValue::make_int(ev.t));
+      JsonValue edges = JsonValue::make_array();
+      for (const std::string& e : ev.edges)
+        edges.push_back(JsonValue::make_string(e));
+      if (ev.reroute) {
+        item.set("packet",
+                 JsonValue::make_int(static_cast<std::int64_t>(ev.packet)));
+        item.set("suffix", std::move(edges));
+      } else {
+        item.set("route", std::move(edges));
+        item.set("tag", JsonValue::make_int(static_cast<std::int64_t>(ev.tag)));
+      }
+      events.push_back(std::move(item));
+    }
+    adv.set("events", std::move(events));
   }
   doc.set("adversary", std::move(adv));
 

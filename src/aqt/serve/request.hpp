@@ -18,6 +18,9 @@
 //     "topology": "ring:8",                        // grammar spec or named recipe
 //     "protocol": "FIFO",
 //     "adversary": {"kind": "stochastic", "w": 8, "r": "9/10", "d": 4},
+//                  // or {"kind": "scripted", "events": [
+//                  //   {"t": 1, "route": ["r0", "r1"], "tag": 7},
+//                  //   {"t": 3, "packet": 0, "suffix": ["r5"]}]}
 //     "seed": 1,
 //     "steps": 20000,
 //     "stop_when_finished": true,                  // optional, default true
@@ -32,6 +35,14 @@
 //
 // Unknown top-level or adversary keys are rejected (SRV005), so typos fail
 // loudly instead of silently running a default.
+//
+// A scripted adversary lists explicit events (Definition 2.1 injection
+// patterns, Lemma 3.3 reroutes) with edges by name, in non-decreasing t;
+// a reroute's "packet" is the 0-based index of its target among the
+// request's injections, which is the packet's creation ordinal.  Its
+// declared constraint is "audit", as for every other kind.  The parser
+// checks the events' shape (SRV004); Registry::compile checks them against
+// the graph and the audit before step 1 (SRV009).
 //
 // Every rejection carries a stable machine-readable code (RequestError::
 // code, the SRVxxx table below); messages are for humans, codes are the
@@ -85,16 +96,27 @@ class RequestError : public std::runtime_error {
   std::string code_;
 };
 
+/// One scripted event, edges still by name.  An injection has a route and
+/// a tag; a reroute a target packet and a new suffix.
+struct ScriptEvent {
+  Time t = 0;
+  bool reroute = false;
+  std::vector<std::string> edges;  ///< Route, or the reroute's suffix.
+  std::uint64_t tag = 0;           ///< Injection tag.
+  std::uint64_t packet = 0;        ///< Reroute target: injection index.
+};
+
 /// Adversary selection as data.  Which fields are meaningful depends on
 /// `kind`; parse_run_request fills defaults and rejects junk per kind.
 struct AdversarySpec {
-  std::string kind = "stochastic";  ///< none stochastic hotspot convoy bucket lps
+  std::string kind = "stochastic";  ///< none stochastic hotspot convoy bucket lps scripted
   std::int64_t w = 12;              ///< Window (stochastic/hotspot/convoy).
   Rat r = Rat(1, 4);                ///< Injection rate (all but none).
   std::int64_t d = 4;               ///< Max route length.
   std::int64_t burst = 2;           ///< Token-bucket burst (bucket).
   std::int64_t iterations = 3;      ///< Outer iterations (lps).
   std::int64_t s_star = 1200;       ///< Initial flat queue (lps).
+  std::vector<ScriptEvent> events;  ///< The script (scripted).
 };
 
 /// The declarative job.  Everything is a value; defaults match aqt-sim's.
@@ -133,7 +155,8 @@ RunRequest parse_run_request(const JsonValue& doc, const std::string& where);
 
 /// Sets `req`'s audit to the constraint its adversary is built to obey:
 /// the (w, r) window for stochastic, hotspot and convoy, the (b, r) bucket
-/// for bucket, rate r for lps.  `none` obeys none and stays unaudited.
+/// for bucket, rate r for lps.  `none` and `scripted` declare none of their
+/// own and stay as they are.
 void audit_adversary_constraint(RunRequest& req);
 
 /// The canonical JSON form: every field materialized (defaults included),

@@ -88,10 +88,15 @@ std::uint64_t Service::submit(const std::string& client,
     job->id = next_id_++;
     // Checkpoint eligibility decided up front so the path is immutable
     // once a worker can see the spec: run_cell only honors it when the
-    // drain arms checkpoint_on_cancel.
+    // drain arms checkpoint_on_cancel.  A resume fast-forwards only an
+    // adversary that never reads the engine: not lps, not a script that
+    // reroutes.
+    const std::vector<ScriptEvent>& events = request.adversary.events;
     const bool checkpointable =
         !config_.checkpoint_dir.empty() && !request.audit_r.has_value() &&
-        request.protocol != "RANDOM" && request.adversary.kind != "lps";
+        request.protocol != "RANDOM" && request.adversary.kind != "lps" &&
+        std::none_of(events.begin(), events.end(),
+                     [](const ScriptEvent& ev) { return ev.reroute; });
     if (checkpointable) {
       job->spec.controls.checkpoint_to = config_.checkpoint_dir + "/job-" +
                                          std::to_string(job->id) + ".ckpt";

@@ -112,9 +112,7 @@ RunTraceWriter::RunTraceWriter(std::ostream* os, const Graph& graph,
   line("aqt-run-trace " + std::to_string(kRunTraceVersion));
   line("protocol " + meta.protocol);
   line("seed " + std::to_string(meta.seed));
-  line("digest " +
-       (meta.scenario_digest.empty() ? std::string("-")
-                                     : meta.scenario_digest));
+  line("digest -");
   if (meta.window_w.has_value() && meta.window_r.has_value())
     line("window " + std::to_string(*meta.window_w) + " " +
          meta.window_r->str());
@@ -264,7 +262,6 @@ RunTrace parse_run_trace(std::istream& is, const std::string& name) {
     AQT_REQUIRE(t.size() == 2 && t.str(0) == "digest",
                 "" << name << ": line " << t.line_no()
                      << ": expected 'digest <hex|->'");
-    if (t.str(1) != "-") out.meta.scenario_digest = t.str(1);
   }
 
   // Optional constraint lines, then the mandatory node table.
@@ -475,20 +472,6 @@ void replay_records(const RunTrace& trace, RunTraceSink& sink) {
         break;
     }
   }
-}
-
-std::string fnv1a_hex(std::istream& is) {
-  Fnv1a hash;
-  char buf[4096];
-  while (is.read(buf, sizeof buf) || is.gcount() > 0)
-    hash.update(std::string_view(buf, static_cast<std::size_t>(is.gcount())));
-  return hash_hex(hash.value());
-}
-
-std::string file_digest_hex(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  AQT_REQUIRE(static_cast<bool>(in), "cannot open " << path);
-  return fnv1a_hex(in);
 }
 
 }  // namespace aqt

@@ -7,7 +7,7 @@
 // applied reroute and injection, and the end-of-step depth of every
 // nonempty buffer.  The header carries everything needed to
 // interpret the records without the originating process — format version,
-// protocol name, RNG seed, scenario digest, declared (w, r) / rate-r
+// protocol name, RNG seed, declared (w, r) / rate-r
 // constraints, and the full node/edge tables of the network — so a
 // verifier can rebuild the graph and re-derive every model rule from first
 // principles, sharing no step logic with the engine.
@@ -30,7 +30,9 @@
 //   aqt-run-trace <version>
 //   protocol <NAME>
 //   seed <n>
-//   digest <hex|->              scenario-file digest ('-' when none)
+//   digest <hex|->              written as '-'; a hex digest (the scenario
+//                               file of traces from older writers) is
+//                               read and ignored
 //   window <w> <r>              optional declared (w, r) constraint
 //   rate <r>                    optional declared rate-r constraint
 //   nodes <count>
@@ -74,8 +76,6 @@ inline constexpr int kRunTraceVersion = 1;
 struct RunTraceMeta {
   std::string protocol = "FIFO";
   std::uint64_t seed = 0;
-  /// Hex digest of the scenario file driving the run; empty when none.
-  std::string scenario_digest;
   std::optional<std::int64_t> window_w;  ///< Declared (w, r) constraint.
   std::optional<Rat> window_r;
   std::optional<Rat> rate_r;  ///< Declared rate-r constraint.
@@ -212,10 +212,5 @@ RunTrace parse_run_trace_file(const std::string& path);
 /// adversary schedule from the J and R records, a JSONL event writer the
 /// run's packet events.
 void replay_records(const RunTrace& trace, RunTraceSink& sink);
-
-/// FNV-1a digest of a whole stream/file, as 16 lowercase hex digits; used
-/// for the scenario digest recorded in trace headers.
-std::string fnv1a_hex(std::istream& is);
-std::string file_digest_hex(const std::string& path);
 
 }  // namespace aqt

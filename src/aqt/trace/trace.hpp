@@ -5,8 +5,9 @@
 // their *creation ordinal* (the n-th packet ever injected), not by
 // PacketId, because slot reuse makes ids depend on absorption order and
 // hence on the protocol.  ScheduleRecorder fills one from the engine's
-// record stream (the J and R records of a run trace); scenario files and
-// Observation 4.4's rescheduling build one directly.  A schedule persists
+// record stream (the J and R records of a run trace); scripted requests
+// (serve/registry.cpp) and Observation 4.4's rescheduling build one
+// directly.  A schedule persists
 // as a run trace (run_trace.hpp), whose J and R records rebuild it.
 //
 // Replaying a trace against a different protocol answers the question the

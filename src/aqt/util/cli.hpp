@@ -68,7 +68,7 @@ class Cli {
 //
 // Every tool that supports one of these concerns declares it through the
 // helpers below, so the flag spells, documents, defaults, and errors
-// identically in aqt-sim, aqt-verify, aqt-lint, and aqt-fuzz (and any
+// identically in aqt-sim, aqt-verify, aqt-fuzz, and aqt-audit (and any
 // bench that grows a command line).
 
 /// Declares `--jobs` (worker threads; 0 = all hardware threads).

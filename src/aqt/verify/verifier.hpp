@@ -37,7 +37,7 @@
 //
 // Every violation is reported with a stable code, the step number, and the
 // offending packet/edge — collected, never fail-fast — in human-readable
-// or JSON form, mirroring aqt-lint.
+// or JSON form, mirroring aqt-audit.
 #pragma once
 
 #include <cstdint>

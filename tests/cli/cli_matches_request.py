@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """aqt-sim's command line and a RunRequest file are one job form.
 
-Each leg runs aqt-sim from flags (or --scenario) with --audit true and
---replay-twice true, then runs the equivalent RunRequest file (or the
-scenario file) through `aqt-sim --batch --audit true`.  The determinism
+Each leg runs aqt-sim from flags with --audit true (or an example request
+with --request) and --replay-twice true, then runs the equivalent RunRequest
+file (or the example itself) through `aqt-sim --batch`.  The determinism
 hash the first prints must equal the trace_hash of the second's result
 document, and both runs must pass their audit.
 
@@ -60,7 +60,7 @@ LEGS = [
       "adversary": {"kind": "stochastic", "w": 12, "r": "1/4", "d": 4},
       "audit": {"w": 12, "r": "1/4"}}),
 ]
-SCENARIO = "ring_convoy"
+EXAMPLE = "ring_convoy"
 
 HASH_LINE = re.compile(r"determinism: replay matched \(trace hash ([0-9a-f]{16})\)")
 
@@ -74,7 +74,7 @@ def run(cmd):
 
 
 def cli_hash(sim, args):
-    out = run([sim] + args + ["--audit", "true", "--replay-twice", "true"])
+    out = run([sim] + args + ["--replay-twice", "true"])
     match = HASH_LINE.search(out)
     if match is None:
         sys.exit(f"FAIL: no determinism line from {args}\n{out}")
@@ -92,17 +92,16 @@ def main():
 
     expected = {}
     for leg, flags, fields in LEGS:
-        expected[leg] = cli_hash(sim, flags.split())
+        expected[leg] = cli_hash(sim, flags.split() + ["--audit", "true"])
         request = {"aqt_run_request": 1, "id": leg,
                    "artifacts": ["trace_hash"], **fields}
         with open(os.path.join(batch, leg + ".json"), "w") as f:
             json.dump(request, f)
-    scenario = os.path.join(source, "examples", "scenarios",
-                            SCENARIO + ".aqts")
-    expected[SCENARIO] = cli_hash(sim, ["--scenario", scenario])
-    shutil.copy(scenario, batch)
+    example = os.path.join(source, "examples", "requests", EXAMPLE + ".json")
+    expected[EXAMPLE] = cli_hash(sim, ["--request", example])
+    shutil.copy(example, batch)
 
-    run([sim, "--batch", batch, "--audit", "true", "--results-dir", results])
+    run([sim, "--batch", batch, "--results-dir", results])
     failed = False
     for leg, want in expected.items():
         with open(os.path.join(results, leg + ".json")) as f:

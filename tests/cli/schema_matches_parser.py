@@ -7,7 +7,10 @@ parameter goes through `aqt-sim --batch`.  Each (kind, key) pair the C++
 parser rejects with SRV005 must also be rejected by
 scripts/validate_run_request.py, and by the `jsonschema` package when it can
 be imported (standard JSON Schema meaning).  Each pair the parser accepts
-must pass both validators, and so must the example requests.
+must pass both validators, and so must the example requests.  The scripted
+kind's events get the same treatment: each event shape the parser rejects
+(SRV003, SRV004, SRV005) the schema rejects, and each it accepts the schema
+accepts.
 
 Usage: schema_matches_parser.py AQT_SIM SOURCE_DIR WORK_DIR
 """
@@ -27,9 +30,29 @@ BASES = {
     "convoy": {"kind": "convoy", "w": 8, "r": "1/4", "d": 3},
     "bucket": {"kind": "bucket", "burst": 2, "r": "1/3", "d": 3},
     "lps": {"kind": "lps", "r": "7/10", "iterations": 1, "s_star": 200},
+    "scripted": {"kind": "scripted", "events": []},
 }
 VALUES = {"w": 8, "r": "1/4", "d": 3, "burst": 2, "iterations": 1,
-          "s_star": 200}
+          "s_star": 200, "events": []}
+
+# Scripted event lists on grid:3x3, each with whether the parser accepts it.
+INJECT = {"t": 1, "route": ["h0_0", "h0_1"], "tag": 4}
+REROUTE = {"t": 2, "packet": 0, "suffix": ["d0_2"]}
+EVENT_CASES = [
+    ("injection and reroute", [INJECT, REROUTE], True),
+    ("injection without tag", [{"t": 1, "route": ["h0_0"]}], True),
+    ("route and packet", [dict(INJECT, packet=0)], False),
+    ("reroute with tag", [INJECT, dict(REROUTE, tag=1)], False),
+    ("reroute without suffix", [INJECT, {"t": 2, "packet": 0}], False),
+    ("no t", [{"route": ["h0_0"]}], False),
+    ("t = 0", [dict(INJECT, t=0)], False),
+    ("empty route", [dict(INJECT, route=[])], False),
+    ("empty edge name", [dict(INJECT, route=[""])], False),
+    ("negative packet", [INJECT, dict(REROUTE, packet=-1)], False),
+    ("unknown event key", [dict(INJECT, when=3)], False),
+    ("event not an object", [3], False),
+]
+SHAPE_CODES = ("SRV003", "SRV004", "SRV005")
 
 
 def request(adversary):
@@ -110,6 +133,31 @@ def main(argv):
     if banned == 0:
         failures.append("the parser rejected no (kind, key) pair")
 
+    for i, (label, events, accepts) in enumerate(EVENT_CASES):
+        doc = request({"kind": "scripted", "events": events})
+        cell = os.path.join(work, f"events_{i}")
+        os.makedirs(cell)
+        with open(os.path.join(cell, "request.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump(doc, f)
+        run = subprocess.run([aqt_sim, "--batch", cell],
+                             capture_output=True, text=True)
+        out = run.stdout + run.stderr
+        rejected = any(code in out for code in SHAPE_CODES)
+        if rejected == accepts or (accepts and run.returncode != 0):
+            failures.append(f"events ({label}): parser expected to "
+                            f"{'accept' if accepts else 'reject'}: {out}")
+            continue
+        mine, theirs = verdicts(doc)
+        if mine != accepts:
+            failures.append(f"events ({label}): parser "
+                            f"{'accepts' if accepts else 'rejects'}, "
+                            f"validate_run_request.py does not agree")
+        if theirs is not None and theirs != accepts:
+            failures.append(f"events ({label}): parser "
+                            f"{'accepts' if accepts else 'rejects'}, "
+                            f"jsonschema does not agree")
+
     examples = os.path.join(source_dir, "examples", "requests")
     for name in sorted(os.listdir(examples)):
         if not name.endswith(".json"):
@@ -122,7 +170,8 @@ def main(argv):
 
     for failure in failures:
         print("FAIL", failure)
-    print(f"{banned} banned (kind, key) pairs checked")
+    print(f"{banned} banned (kind, key) pairs and {len(EVENT_CASES)} event "
+          f"shapes checked")
     return 1 if failures else 0
 
 

@@ -17,7 +17,6 @@
 #include "aqt/audit/auditor.hpp"
 #include "aqt/core/engine.hpp"
 #include "aqt/core/protocol.hpp"
-#include "aqt/lint/linter.hpp"
 #include "aqt/obs/events.hpp"
 #include "aqt/obs/export.hpp"
 #include "aqt/obs/registry.hpp"
@@ -188,19 +187,6 @@ TEST(JsonArtifacts, EventLinesKeepEdgeAndMilestoneNames) {
       obs::parse_jsonl_events(is, "events");
   ASSERT_FALSE(parsed.empty());
   EXPECT_EQ(parsed.back().name, kControl);
-}
-
-TEST(JsonArtifacts, LintReportKeepsFileCertificatesAndMessages) {
-  LintReport rep;
-  rep.file = kQuote;
-  rep.certificates = kBackslash;
-  rep.findings.push_back(LintFinding{"dangling-edge", 3, kControl + kReturn});
-  const JsonValue doc = parse_json(to_json({rep}), "lint");
-  const JsonValue& r = at(doc, "reports").items().at(0);
-  EXPECT_EQ(at(r, "file").as_string(), kQuote);
-  EXPECT_EQ(at(r, "certificates").as_string(), kBackslash);
-  EXPECT_EQ(at(at(r, "findings").items().at(0), "message").as_string(),
-            kControl + kReturn);
 }
 
 TEST(JsonArtifacts, VerifyReportKeepsFileProtocolAndMessages) {

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,7 +26,6 @@
 #include "aqt/serve/request.hpp"
 #include "aqt/topology/generators.hpp"
 #include "aqt/util/hash.hpp"
-#include "aqt/verify/scenario_run.hpp"
 
 namespace aqt {
 namespace {
@@ -123,12 +123,13 @@ std::vector<RunSpec> golden_matrix_specs() {
   return specs;
 }
 
-/// An example scenario as aqt-sim --scenario runs it (default --steps).
+/// An example request as aqt-sim --request runs it.
 RunSpec scenario_spec(const std::string& name) {
-  return make_scenario_spec(
-      load_scenario_run(std::string(AQT_SOURCE_DIR) + "/examples/scenarios/" +
-                        name + ".aqts"),
-      name, 10000);
+  std::ifstream in(std::string(AQT_SOURCE_DIR) + "/examples/requests/" +
+                   name + ".json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return serve::Registry().compile(serve::parse_run_request(text.str(), name));
 }
 
 struct Committed {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,7 +14,9 @@
 #include "aqt/obs/registry.hpp"
 #include "aqt/obs/snapshot.hpp"
 #include "aqt/topology/generators.hpp"
-#include "aqt/verify/scenario_run.hpp"
+#include "aqt/runner/run_spec.hpp"
+#include "aqt/serve/registry.hpp"
+#include "aqt/serve/request.hpp"
 
 namespace aqt::obs {
 namespace {
@@ -158,19 +161,24 @@ void check_prometheus_parses(const std::string& text) {
   close_histogram();
 }
 
-/// The acceptance scenario: run a scripted .aqts file end to end, snapshot
-/// the engine, and pin the exported values.  The scenario is deterministic,
-/// so this is a golden test of the whole collect -> export pipeline.
+/// The acceptance scenario: run a scripted example request end to end,
+/// snapshot the engine, and pin the exported values.  The script is
+/// deterministic, so this is a golden test of the whole collect -> export
+/// pipeline.
 TEST(Export, RingConvoyScenarioSnapshot) {
-  ScenarioRun srun =
-      load_scenario_run(std::string(AQT_SOURCE_DIR) +
-                        "/examples/scenarios/ring_convoy.aqts");
-  auto protocol = make_protocol(srun.scenario.protocol);
-  Engine eng(srun.topology.graph, *protocol);
-  ReplayAdversary adv(srun.script);
+  std::ifstream in(std::string(AQT_SOURCE_DIR) +
+                   "/examples/requests/ring_convoy.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const RunSpec spec = serve::Registry().compile(
+      serve::parse_run_request(text.str(), "ring_convoy"));
+  const Graph graph = spec.topology.build();
+  auto protocol = make_protocol(spec.protocol);
+  Engine eng(graph, *protocol);
+  const std::unique_ptr<Adversary> adv = spec.adversary(graph, spec.seed);
   for (Time i = 0; i < 64; ++i) {
-    if (adv.finished(eng.now() + 1)) break;
-    eng.step(&adv);
+    if (adv->finished(eng.now() + 1)) break;
+    eng.step(adv.get());
   }
   eng.drain(64);
 

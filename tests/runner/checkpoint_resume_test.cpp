@@ -144,6 +144,65 @@ TEST(JobCheckpoint, ResumeIsByteIdenticalUnderThePoolAtAnyJobs) {
   }
 }
 
+/// A scripted request: a convoy on ring:8 and one Lemma 3.3 reroute at
+/// t=60, compiled like any served request.
+RunSpec scripted_spec() {
+  // Packet 19, injected at t=58, waits in r2's buffer at t=60.
+  std::string events = R"({"t": 1, "route": ["r0", "r1", "r2"]})";
+  for (int t = 4; t <= 88; t += 3) {
+    if (t == 61) events += R"(, {"t": 60, "packet": 19, "suffix": ["r3", "r4"]})";
+    events += R"(, {"t": )" + std::to_string(t) +
+              R"(, "route": ["r0", "r1", "r2"]})";
+  }
+  const std::string text =
+      R"({"aqt_run_request": 1, "topology": "ring:8", "protocol": "FIFO",)"
+      R"( "adversary": {"kind": "scripted", "events": [)" +
+      events + R"(]}, "steps": 200, "drain": true})";
+  return serve::Registry().compile(serve::parse_run_request(text, "scripted"));
+}
+
+TEST(JobCheckpoint, ScriptedRequestCutBeforeItsRerouteResumes) {
+  const RunResult full = execute_run(scripted_spec());
+  ASSERT_TRUE(full.ok()) << full.error;
+  ASSERT_NE(full.trace_hash, 0u);
+
+  // Two cells cut before the reroute at t=60, resumed under the pool.
+  std::vector<ScratchFile> files;
+  files.reserve(2);
+  std::vector<RunSpec> resume_specs;
+  for (const Time cut : {Time{25}, Time{59}}) {
+    files.emplace_back("scripted_" + std::to_string(cut));
+    RunSpec first = scripted_spec();
+    first.controls.checkpoint_at = cut;
+    first.controls.checkpoint_to = files.back().path();
+    ASSERT_TRUE(execute_run(first).checkpointed);
+    RunSpec second = scripted_spec();
+    second.controls.resume_from = files.back().path();
+    resume_specs.push_back(std::move(second));
+  }
+  for (const unsigned jobs : {1u, 4u}) {
+    const RunPoolReport resumed = run_pool(resume_specs, jobs);
+    for (const RunResult& r : resumed.results) {
+      ASSERT_TRUE(r.ok()) << "jobs=" << jobs << ": " << r.error;
+      EXPECT_EQ(r.trace_hash, full.trace_hash) << "jobs=" << jobs;
+    }
+  }
+
+  // Cut after the reroute, a resume would have to replay a poll that read
+  // the engine, so it refuses.
+  ScratchFile late("scripted_late");
+  RunSpec first = scripted_spec();
+  first.controls.checkpoint_at = 60;
+  first.controls.checkpoint_to = late.path();
+  ASSERT_TRUE(execute_run(first).checkpointed);
+  RunSpec second = scripted_spec();
+  second.controls.resume_from = late.path();
+  const RunResult refused = execute_run(second);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.error.find("oblivious up to the cut"), std::string::npos)
+      << refused.error;
+}
+
 TEST(JobCheckpoint, CancelWithoutCheckpointReportsCancelled) {
   RunSpec spec = make_spec(31, 100000);
   spec.controls.slice_steps = 50;

@@ -22,7 +22,7 @@
 #include "aqt/topology/generators.hpp"
 #include "aqt/trace/run_trace.hpp"
 #include "aqt/util/check.hpp"
-#include "aqt/verify/scenario_run.hpp"
+#include "aqt/trace/trace.hpp"
 
 namespace aqt {
 namespace {
@@ -51,13 +51,22 @@ RunSpec stochastic_spec(const std::string& protocol, std::uint64_t seed) {
   return spec;
 }
 
-/// The scripted ring_convoy scenario from the examples tree.
+/// The ring_convoy example's script: four r0>r1>r2 injections, then drained.
 RunSpec ring_convoy_spec() {
-  ScenarioRun srun = load_scenario_run(
-      std::string(AQT_SOURCE_DIR) + "/examples/scenarios/ring_convoy.aqts");
-  return make_scripted_spec("ring_convoy", srun.topology.graph,
-                            std::move(srun.script), srun.meta,
-                            std::max<Time>(srun.last_event + 1, 400));
+  const Graph ring = make_ring(6);
+  const Route convoy = {ring.edge_by_name("r0"), ring.edge_by_name("r1"),
+                        ring.edge_by_name("r2")};
+  Trace script;
+  for (const Time t : {1, 4, 7, 10})
+    script.record_injection(t, Injection{convoy, 0});
+  RunSpec spec;
+  spec.name = "ring_convoy";
+  spec.topology = {"ring:6", [] { return make_ring(6); }};
+  spec.adversary = script_adversary(std::move(script));
+  spec.steps = 400;
+  spec.drain_after = true;
+  spec.artifacts.trace_hash = true;
+  return spec;
 }
 
 /// An F_n gadget chain under stochastic traffic.

@@ -1,10 +1,9 @@
-// Scenario files as jobs: the scripted RunSpec every entry point runs
-// (aqt-sim --scenario and --batch, aqt-lint), its trace header, the
+// Scripted requests as jobs: the example requests every entry point runs
+// (aqt-sim --request and --batch, aqt-serve), their trace header, the
 // failure of a scripted reroute that cannot apply, and the borrowed
 // observers execute_run takes for a watched run.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,21 +11,22 @@
 #include "aqt/obs/events.hpp"
 #include "aqt/obs/profiler.hpp"
 #include "aqt/runner/run_spec.hpp"
+#include "aqt/serve/registry.hpp"
+#include "aqt/serve/request.hpp"
 #include "aqt/trace/run_trace.hpp"
 #include "aqt/util/hash.hpp"
-#include "aqt/verify/scenario_run.hpp"
 #include "aqt/verify/verifier.hpp"
 
 namespace aqt {
 namespace {
 
-std::string example(const std::string& name) {
-  return std::string(AQT_SOURCE_DIR) + "/examples/scenarios/" + name +
-         ".aqts";
-}
-
+/// An example request file, compiled as aqt-sim --request compiles it.
 RunSpec example_spec(const std::string& name) {
-  return make_scenario_spec(load_scenario_run(example(name)), name, 1);
+  std::ifstream in(std::string(AQT_SOURCE_DIR) + "/examples/requests/" +
+                   name + ".json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return serve::Registry().compile(serve::parse_run_request(text.str(), name));
 }
 
 /// Runs `spec` with its trace bytes captured.
@@ -39,25 +39,24 @@ std::string recorded_trace(const RunSpec& spec, RunResult& result) {
 }
 
 TEST(ScriptedSpec, HeaderCarriesTheDigestAndTheDeclarationAuditedOrNot) {
-  RunSpec plain = example_spec("ring_convoy");
+  const RunSpec audited = example_spec("ring_convoy");
   RunResult result;
-  const std::string trace = recorded_trace(plain, result);
+  const std::string trace = recorded_trace(audited, result);
   ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_NE(trace.find("\ndigest " + file_digest_hex(example("ring_convoy")) +
-                       "\n"),
-            std::string::npos);
-  EXPECT_NE(trace.find("\nwindow 6 1/3\n"), std::string::npos);
+  EXPECT_TRUE(result.feasible);
+  // A request has no scenario file: the digest line is the placeholder.
+  EXPECT_NE(trace.find("\ndigest -\nwindow 6 1/3\n"), std::string::npos);
   EXPECT_NE(trace.find("\nhash " + hash_hex(result.trace_hash) + "\n"),
             std::string::npos);
 
-  // Auditing the declared window checks the run without changing it.
-  RunSpec audited = example_spec("ring_convoy");
-  audited.audit_w = 6;
-  audited.audit_r = Rat(1, 3);
-  const RunResult checked = execute_run(audited);
-  ASSERT_TRUE(checked.ok()) << checked.error;
-  EXPECT_TRUE(checked.feasible);
-  EXPECT_EQ(checked.trace_hash, result.trace_hash);
+  // Declaring the window without auditing it records the same run.
+  RunSpec plain = example_spec("ring_convoy");
+  plain.header = audit_header(plain);
+  plain.audit_w.reset();
+  plain.audit_r.reset();
+  const RunResult unchecked = execute_run(plain);
+  ASSERT_TRUE(unchecked.ok()) << unchecked.error;
+  EXPECT_EQ(unchecked.trace_hash, result.trace_hash);
 }
 
 TEST(ScriptedSpec, LpsRerouteExampleRecordsARerouteTheVerifierAccepts) {
@@ -72,29 +71,27 @@ TEST(ScriptedSpec, LpsRerouteExampleRecordsARerouteTheVerifierAccepts) {
   EXPECT_TRUE(report.ok()) << to_human({report});
 }
 
-TEST(ScriptedSpec, ARerouteThatCannotApplyFailsTheRunAndTheLint) {
-  // The example as it stood before its fix: at t=5 packet 0 waits on
-  // g1.e3, so a suffix that starts where a2 ends cannot continue its route.
-  const std::string path = ::testing::TempDir() + "/aqt_stale_reroute.aqts";
-  {
-    std::ofstream out(path);
-    out << "topology lps:4x2\nprotocol FIFO\nrate 7/10\n"
-           "inject t=1 route=a1>g1.e1>g1.e2>g1.e3>g1.e4>a2 tag=1\n"
-           "inject t=3 route=g1.f1>g1.f2>g1.f3>g1.f4 tag=2\n"
-           "reroute t=5 packet=0 suffix=g2.f1>g2.f2>g2.f3>g2.f4>a3\n";
-  }
-  const RunResult result =
-      execute_run(make_scenario_spec(load_scenario_run(path), "stale", 1));
+TEST(ScriptedSpec, ARerouteThatCannotApplyFailsTheRun) {
+  // lps_reroute as it stood before its fix: at t=5 packet 0 waits on
+  // g1.e3, so a suffix that starts where a2 ends cannot continue its
+  // route.  That depends on the run, so compile accepts it and the run
+  // fails, naming the event.
+  const RunResult result = execute_run(
+      serve::Registry().compile(serve::parse_run_request(
+          R"({"aqt_run_request": 1, "topology": "lps:4x2",)"
+          R"( "protocol": "FIFO", "adversary": {"kind": "scripted",)"
+          R"( "events": [)"
+          R"({"t": 1, "route": ["a1", "g1.e1", "g1.e2", "g1.e3", "g1.e4",)"
+          R"( "a2"], "tag": 1},)"
+          R"({"t": 3, "route": ["g1.f1", "g1.f2", "g1.f3", "g1.f4"],)"
+          R"( "tag": 2},)"
+          R"({"t": 5, "packet": 0, "suffix": ["g2.f1", "g2.f2", "g2.f3",)"
+          R"( "g2.f4", "a3"]}]},)"
+          R"( "steps": 100, "audit": {"r": "7/10"}})",
+          "stale")));
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("t=5 packet=0"), std::string::npos)
       << result.error;
-
-  const LintReport report = lint_and_run_file(path);
-  ASSERT_EQ(report.findings.size(), 1u) << to_human({report});
-  EXPECT_EQ(report.findings[0].code, "run-failed");
-  EXPECT_NE(report.findings[0].message.find("t=5 packet=0"),
-            std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ExecuteRun, ObserversWatchTheRunWithoutChangingIt) {

@@ -171,9 +171,26 @@ TEST(ServeRegistry, NamedRecipesResolveAndShowInCatalog) {
     if (p.as_string() == "FIFO") has_fifo = true;
   EXPECT_TRUE(has_fifo);
   bool has_bucket = false;
-  for (const JsonValue& a : cat.find("adversaries")->items())
+  bool has_scripted = false;
+  for (const JsonValue& a : cat.find("adversaries")->items()) {
     if (a.as_string() == "bucket") has_bucket = true;
+    if (a.as_string() == "scripted") has_scripted = true;
+  }
   EXPECT_TRUE(has_bucket);
+  EXPECT_TRUE(has_scripted);
+}
+
+TEST(ServeRegistry, LpsRateOutsideTheConstructionRangeIsSRV009) {
+  // Theorem 3.17's construction needs 1/2 < r < 1; the lps generator's
+  // own precondition must not be what rejects it.
+  const Registry registry;
+  for (const Rat& r : {Rat(1, 2), Rat(3, 2)}) {
+    RunRequest req = base_request();
+    req.topology = "lps:9x2";
+    req.adversary.kind = "lps";
+    req.adversary.r = r;
+    expect_compile_code(registry, req, errc::kBadParam);
+  }
 }
 
 TEST(ServeRegistry, BucketAuditIsTheExactBurstCheck) {

@@ -206,6 +206,96 @@ TEST_F(ServerTest, ServedJobMatchesOfflineBytes) {
             canonical_result_json(offline));
 }
 
+TEST_F(ServerTest, ServedScriptedJobWithARerouteMatchesOfflineBytes) {
+  LineClient client(server_->port());
+  const RunRequest req = parse_run_request(
+      R"({"aqt_run_request": 1, "id": "scripted-reroute",)"
+      R"( "topology": "lps:4x2", "protocol": "FIFO",)"
+      R"( "adversary": {"kind": "scripted", "events": [)"
+      R"({"t": 1, "route": ["a1", "g1.e1", "g1.e2", "g1.e3", "g1.e4", "a2"]},)"
+      R"({"t": 3, "route": ["g1.f1", "g1.f2", "g1.f3", "g1.f4"]},)"
+      R"({"t": 6, "packet": 0,)"
+      R"( "suffix": ["g2.f1", "g2.f2", "g2.f3", "g2.f4", "a3"]}]},)"
+      R"( "steps": 50, "drain": true, "audit": {"r": "7/10"}})",
+      "test");
+  JsonValue submit = JsonValue::make_object();
+  submit.set("op", JsonValue::make_string("submit"));
+  submit.set("request", run_request_to_json(req));
+  JsonValue accepted = client.rpc(write_json(submit));
+  ASSERT_TRUE(accepted.find("ok")->as_bool()) << write_json(accepted);
+  JsonValue event = client.next_event();
+  EXPECT_EQ(event.find("state")->as_string(), "done");
+
+  const RunResult offline = execute_run(registry_.compile(req));
+  ASSERT_TRUE(offline.ok()) << offline.error;
+  EXPECT_TRUE(offline.feasible);
+  const std::string served = event.find("result_canonical")->as_string();
+  EXPECT_EQ(served, canonical_result_json(offline));
+  EXPECT_NE(served.find("\"absorbed\":2"), std::string::npos) << served;
+}
+
+TEST_F(ServerTest, LpsRateOutsideTheConstructionRangeIsSRV009) {
+  LineClient client(server_->port());
+  for (const char* r : {"1/2", "3/2"}) {
+    JsonValue reply = client.rpc(
+        std::string(R"({"op": "submit", "request": {"aqt_run_request": 1,)"
+                    R"( "topology": "lps:9x2", "protocol": "FIFO",)"
+                    R"( "adversary": {"kind": "lps", "r": ")") +
+        r + R"("}, "steps": 10}})");
+    EXPECT_FALSE(reply.find("ok")->as_bool()) << r;
+    EXPECT_EQ(reply.find("code")->as_string(), errc::kBadParam)
+        << r << ": " << write_json(reply);
+  }
+}
+
+/// A served rejection is the scripted findings as one JSON error reply.
+class LintRenderTest : public ServerTest {};
+
+TEST_F(LintRenderTest, JsonCarriesVerdictCodesAndCounts) {
+  LineClient client(server_->port());
+  // The edge name carries a quote and a tab, which the reply must escape.
+  const std::string bad_name = "r\"9\t";
+  RunRequest req;
+  req.topology = "ring:3";
+  req.adversary.kind = "scripted";
+  for (const Time t : {1, 2}) {
+    ScriptEvent ev;
+    ev.t = t;
+    ev.edges = {"r0", bad_name};
+    req.adversary.events.push_back(ev);
+  }
+  JsonValue submit = JsonValue::make_object();
+  submit.set("op", JsonValue::make_string("submit"));
+  submit.set("request", run_request_to_json(req));
+
+  const JsonValue reply = client.rpc(write_json(submit));
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("code")->as_string(), errc::kBadParam);
+  const std::string line = "dangling-edge: route names edge '" + bad_name +
+                           "', which does not exist in this topology";
+  EXPECT_EQ(reply.find("error")->as_string(),
+            "events[0]: " + line + "\nevents[1]: " + line);
+}
+
+TEST_F(LintRenderTest, HumanOutputNamesTheFindingCode) {
+  RunRequest req;
+  req.topology = "ring:3";
+  req.adversary.kind = "scripted";
+  ScriptEvent ev;
+  ev.t = 1;
+  ev.edges = {"r0", "r9"};
+  req.adversary.events.push_back(ev);
+  try {
+    (void)registry_.compile(req);
+    FAIL() << "compiled a route through a missing edge";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.code(), errc::kBadParam);
+    EXPECT_EQ(std::string(e.what()),
+              "events[0]: dangling-edge: route names edge 'r9', which does "
+              "not exist in this topology");
+  }
+}
+
 TEST_F(ServerTest, MetricsEndpointSpeaksPrometheus) {
   const std::string text = server_->metrics_text();
   EXPECT_NE(text.find("# TYPE aqt_serve_queue_depth gauge"),

@@ -94,12 +94,12 @@ TEST(Cli, BooleanFlagTakesTheNextArgumentOnlyWhenItIsABoolean) {
   cli.flag("audit", "true", "audit");
   cli.flag("replay", "false", "replay");
   cli.positionals("file...", "inputs");
-  Args a({"--audit", "off", "--replay", "scenario.aqts"});
+  Args a({"--audit", "off", "--replay", "request.json"});
   ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
   EXPECT_FALSE(cli.get_bool("audit"));
   EXPECT_TRUE(cli.get_bool("replay"));
   EXPECT_EQ(cli.positional_args(),
-            (std::vector<std::string>{"scenario.aqts"}));
+            (std::vector<std::string>{"request.json"}));
 }
 
 TEST(Cli, GetBoolRejectsAMisspellingAndNamesTheFlag) {
@@ -172,11 +172,11 @@ TEST(Cli, PositionalsCollectedWhenEnabled) {
   Cli cli("t", "test");
   cli.flag("format", "human", "output format");
   cli.positionals("file...", "scenario files");
-  Args a({"a.aqts", "--format=json", "b.aqts"});
+  Args a({"a.trace", "--format=json", "b.trace"});
   ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
   EXPECT_EQ(cli.get("format"), "json");
   EXPECT_EQ(cli.positional_args(),
-            (std::vector<std::string>{"a.aqts", "b.aqts"}));
+            (std::vector<std::string>{"a.trace", "b.trace"}));
 }
 
 TEST(Cli, NumericFlagsRejectGarbageWithCleanError) {

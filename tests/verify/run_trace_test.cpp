@@ -353,12 +353,5 @@ TEST(RunTrace, HashOnlyContinuationEndsOnTheUninterruptedHash) {
   EXPECT_EQ(rest.content_hash(), whole.content_hash());
 }
 
-TEST(RunTrace, Fnv1aDigestMatchesKnownVectors) {
-  std::istringstream empty("");
-  EXPECT_EQ(fnv1a_hex(empty), "cbf29ce484222325");  // FNV offset basis
-  std::istringstream a("a");
-  EXPECT_EQ(fnv1a_hex(a), "af63dc4c8601ec8c");
-}
-
 }  // namespace
 }  // namespace aqt

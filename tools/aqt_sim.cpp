@@ -1,22 +1,22 @@
 // aqt-sim: general-purpose simulation driver.
 //
 // Pick a topology, a protocol, and an adversary from the command line — or
-// run a .aqts scenario file verbatim; print the stability-relevant metrics.
-// Every run is one job with one execution path: the flags become a
-// serve::RunRequest compiled by serve::Registry (the compiler aqt-serve
-// uses), a scenario becomes its scripted RunSpec, and both run through
-// execute_run.  What the command line adds are observers: verify rate
-// feasibility, record the engine run as aqt-verify evidence, re-run from
-// the same seed to prove determinism, profile, and the flight recorder.
+// run a RunRequest file verbatim; print the stability-relevant metrics.
+// Every run is one job with one execution path: the flags or the file
+// become a serve::RunRequest compiled by serve::Registry (the compiler
+// aqt-serve uses) and run through execute_run.  What the command line adds
+// are observers: verify rate feasibility, record the engine run as
+// aqt-verify evidence, re-run from the same seed to prove determinism,
+// profile, and the flight recorder.
 //
 // Examples:
 //   aqt-sim --topology grid:5x5 --protocol FIFO
 //           --adversary stochastic --w 12 --r 1/4 --d 4 --steps 20000
-//   aqt-sim --scenario examples/scenarios/ring_convoy.aqts
+//   aqt-sim --request examples/requests/ring_convoy.json
 //           --record-run out/ring_convoy.trace --replay-twice true
 //   aqt-sim --topology ring:16 --protocol NTG --adversary convoy
 //           --w 12 --r 1/3 --steps 5000 --audit true
-//   aqt-sim --batch examples/scenarios --jobs 4
+//   aqt-sim --batch examples/requests --jobs 4
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,30 +45,25 @@
 #include "aqt/util/cli.hpp"
 #include "aqt/util/hash.hpp"
 #include "aqt/util/table.hpp"
-#include "aqt/verify/scenario_run.hpp"
 
 namespace {
 
 using namespace aqt;
 
-/// A .aqts file as its scripted job.  With `audit`, the run checks the
-/// file's declared window, or else its declared rate.
-RunSpec scenario_job(const std::string& path, Time steps, bool audit) {
-  RunSpec spec =
-      make_scenario_spec(load_scenario_run(path),
-                         std::filesystem::path(path).stem().string(), steps);
-  if (audit) {
-    const RunTraceMeta& declared = *spec.header;
-    AQT_REQUIRE(declared.window_w.has_value() || declared.rate_r.has_value(),
-                "--audit needs a declared window/rate in " << path);
-    if (declared.window_w.has_value()) {
-      spec.audit_w = declared.window_w;
-      spec.audit_r = declared.window_r;
-    } else {
-      spec.audit_r = declared.rate_r;
-    }
-  }
-  return spec;
+/// Reads and parses one RunRequest file.
+serve::RunRequest read_request(const std::string& path) {
+  std::ifstream in(path);
+  AQT_REQUIRE(static_cast<bool>(in), "cannot open " << path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return serve::parse_run_request(text.str(), path);
+}
+
+/// A request file carries its own audit; --audit is for flag runs.
+void require_no_audit_flag(const Cli& cli, const char* mode) {
+  AQT_REQUIRE(!cli.get_bool("audit"),
+              "--audit applies to flag runs; with " << mode
+                  << " the request's \"audit\" field declares the audit");
 }
 
 /// The command-line run as a RunRequest, audited against its adversary's
@@ -131,43 +126,29 @@ class ProgressSink final : public StepSampleSink {
   Time last_step_ = 0;
 };
 
-/// --batch <dir>: run every .aqts scenario and every .json RunRequest in
-/// the directory through the deterministic run-pool, honoring --jobs.  The
-/// summary table is in sorted filename order (submission order), so output
-/// is byte-identical for any --jobs value.  RunRequest files go through
-/// the same serve::Registry compiler as aqt-serve jobs, so --results-dir
-/// artifacts here are byte-identical to the served ones.
+/// --batch <dir>: run every .json RunRequest in the directory through the
+/// deterministic run-pool, honoring --jobs.  The summary table is in sorted
+/// filename order (submission order), so output is byte-identical for any
+/// --jobs value.  The files go through the same serve::Registry compiler
+/// as aqt-serve jobs, so --results-dir artifacts here are byte-identical
+/// to the served ones.
 int run_batch(const Cli& cli) {
   namespace fs = std::filesystem;
+  require_no_audit_flag(cli, "--batch");
   const std::string dir = cli.get("batch");
   AQT_REQUIRE(fs::is_directory(dir), "--batch needs a directory: " << dir);
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir))
-    if (entry.is_regular_file() && (entry.path().extension() == ".aqts" ||
-                                    entry.path().extension() == ".json"))
+    if (entry.is_regular_file() && entry.path().extension() == ".json")
       files.push_back(entry.path());
   std::sort(files.begin(), files.end());
-  AQT_REQUIRE(!files.empty(), "no .aqts scenarios or .json requests in "
-                                  << dir);
+  AQT_REQUIRE(!files.empty(), "no .json requests in " << dir);
 
-  const bool audit = cli.get_bool("audit");
-  const Time cap = cli.get_int("steps");
   const serve::Registry registry;
   std::vector<RunSpec> specs;
   specs.reserve(files.size());
-  for (const fs::path& path : files) {
-    if (path.extension() == ".json") {
-      std::ifstream in(path);
-      AQT_REQUIRE(static_cast<bool>(in), "cannot open " << path.string());
-      std::ostringstream text;
-      text << in.rdbuf();
-      const serve::RunRequest req =
-          serve::parse_run_request(text.str(), path.string());
-      specs.push_back(registry.compile(req));
-    } else {
-      specs.push_back(scenario_job(path.string(), cap, audit));
-    }
-  }
+  for (const fs::path& path : files)
+    specs.push_back(registry.compile(read_request(path.string())));
 
   const RunPoolReport report = run_pool(specs, get_jobs(cli));
   if (!cli.get("results-dir").empty()) {
@@ -186,7 +167,7 @@ int run_batch(const Cli& cli) {
     std::cout << report.results.size() << " result document(s) written to "
               << out_dir.string() << "\n";
   }
-  Table t({"scenario", "protocol", "steps", "injected", "absorbed",
+  Table t({"job", "protocol", "steps", "injected", "absorbed",
            "max queue", "max residence", "feasible", "trace hash",
            "status"});
   bool all_ok = true;
@@ -200,7 +181,7 @@ int run_batch(const Cli& cli) {
            r.ok() ? std::string("ok") : r.error);
     all_ok = all_ok && r.ok() && r.feasible;
   }
-  std::cout << t << "batch: " << report.results.size() << " scenario(s)\n";
+  std::cout << t << "batch: " << report.results.size() << " job(s)\n";
   obs::export_cli_metrics(cli, report.metrics, "aqt-sim");
   return all_ok ? 0 : 1;
 }
@@ -215,13 +196,13 @@ static int run_main(int argc, char** argv) {
   cli.flag("protocol", "FIFO", "FIFO LIFO LIS NIS FTG NTG FFS NTS RANDOM");
   cli.flag("adversary", "stochastic",
            "stochastic | hotspot | convoy | bucket | lps | none");
-  cli.flag("scenario", "",
-           "run this .aqts scenario (topology/protocol/script/declared "
-           "constraints come from the file)");
+  cli.flag("request", "",
+           "run this RunRequest file as --batch would (the job and its "
+           "audit come from the file; every observer flag applies)");
   cli.flag("batch", "",
-           "run every .aqts scenario and .json RunRequest in this "
-           "directory through the deterministic run-pool (honors --jobs; "
-           "summary in filename order)");
+           "run every .json RunRequest in this directory through the "
+           "deterministic run-pool (honors --jobs; summary in filename "
+           "order)");
   cli.flag("results-dir", "",
            "with --batch: write one canonical RunResult JSON per cell "
            "into this directory (byte-identical to aqt-serve's "
@@ -271,17 +252,17 @@ static int run_main(int argc, char** argv) {
   AQT_REQUIRE(cli.get("trace-out").empty() || !cli.get_bool("profile"),
               "--trace-out and --profile both want the phase sink; pick one");
 
-  // The job, and the names the metric table gives its topology and
-  // adversary.
+  // The job, from a request file or from the flags.
   RunSpec spec;
-  std::string topology_name;
-  std::string adversary_name = "scenario";
-  if (!cli.get("scenario").empty()) {
-    spec = scenario_job(cli.get("scenario"), cli.get_int("steps"), audit);
-    spec.seed = get_seed(cli);
-    topology_name = parse_scenario_file(cli.get("scenario")).topology;
+  serve::RunRequest req;
+  if (!cli.get("request").empty()) {
+    require_no_audit_flag(cli, "--request");
+    req = read_request(cli.get("request"));
+    spec = serve::Registry().compile(req);
+    // The determinism re-run compares trace hashes.
+    spec.artifacts.trace_hash = spec.artifacts.trace_hash || replay_twice;
   } else {
-    const serve::RunRequest req = request_from_flags(cli);
+    req = request_from_flags(cli);
     spec = serve::Registry().compile(req);
     // The header declares the adversary's constraint, audited or not.
     spec.header = audit_header(spec);
@@ -290,9 +271,8 @@ static int run_main(int argc, char** argv) {
       spec.audit_burst.reset();
       spec.audit_r.reset();
     }
-    topology_name = req.topology;
-    adversary_name = req.adversary.kind;
   }
+  const std::string& adversary_name = req.adversary.kind;
   spec.artifacts.metrics = !cli.get("metrics-out").empty() ||
                            !cli.get("metrics-prom").empty() ||
                            !cli.get("metrics-csv").empty();
@@ -363,7 +343,7 @@ static int run_main(int argc, char** argv) {
   if (!result.ok()) return run_failed(result);
 
   Table t({"metric", "value"});
-  t.rowv("topology", topology_name);
+  t.rowv("topology", req.topology);
   t.rowv("protocol", spec.protocol);
   t.rowv("adversary", adversary_name);
   t.rowv("steps", static_cast<long long>(result.steps_run));
@@ -411,7 +391,7 @@ static int run_main(int argc, char** argv) {
     if (watchdog) watchdog->collect_metrics(result.metrics);
     obs::export_cli_metrics(cli, result.metrics, "aqt-sim");
   }
-  if (audit)
+  if (spec.audit_r.has_value())
     std::cout << "\nrate feasibility: " << result.audit.describe(graph)
               << "\n";
   if (!record_run.empty())
